@@ -70,6 +70,8 @@ class CalibrationDataset:
         object.__setattr__(self, "y", y)
         if x.shape != y.shape or x.ndim != 1:
             raise ConfigError("x and y must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ConfigError("x and y must be finite")
         if len(x) < 3:
             raise ConfigError("need at least 3 data points")
         if self.y_err is not None:
@@ -88,15 +90,17 @@ class CalibrationDataset:
         errs: list[float] = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            has_err = len(header) >= 3
+            has_err = len(next(reader, [])) >= 3
             for row in reader:
                 if not row:
                     continue
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-                if has_err and len(row) >= 3 and row[2] != "":
-                    errs.append(float(row[2]))
+                try:
+                    xs.append(float(row[0]))
+                    ys.append(float(row[1]))
+                    if has_err and len(row) >= 3 and row[2] != "":
+                        errs.append(float(row[2]))
+                except (IndexError, ValueError) as exc:
+                    raise ConfigError(f"{path}:{reader.line_num}: bad row {row}") from exc
         if errs and len(errs) != len(xs):
             raise ConfigError("yerr column must be complete if present")
         return cls(

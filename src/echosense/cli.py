@@ -139,6 +139,8 @@ def cmd_displacement_sweep(args: argparse.Namespace) -> int:
     noise = _noise(cfg)
     base_noise = NoiseModel(sigma=noise.sigma, nbar=noise.nbar, gamma=noise.gamma)
     rule = gauss_hermite_rule(noise.sigma, cfg["nodes"])
+    if cfg["tau_steps"] < 1:
+        raise ConfigError("tau_steps must be >= 1")
     taus = np.linspace(cfg["tau_min_us"] * 1e-6, cfg["tau_max_us"] * 1e-6, cfg["tau_steps"])
     with_excess = noise.excess_noise_factor != 1.0
     columns = ["tau_s", "delta_sq_exact", "delta_sq_perturbative", "sql", "db_below_sql"]
@@ -177,6 +179,8 @@ def cmd_efield_sweep(args: argparse.Namespace) -> int:
     noise = _noise(cfg)
     rule = gauss_hermite_rule(noise.sigma, cfg["nodes"])
     constants = _constants(cfg)
+    if cfg["t_steps"] < 1:
+        raise ConfigError("t_steps must be >= 1")
     t_grid = np.linspace(cfg["t_min_ms"] * 1e-3, cfg["t_max_ms"] * 1e-3, cfg["t_steps"])
     columns = [
         "T_s",

@@ -33,8 +33,9 @@ everything in this module is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+import numbers
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import ClassVar, Optional
 
 __all__ = [
     "HBAR",
@@ -53,9 +54,9 @@ __all__ = [
     "ClassicalEField",
     "QuantumEField",
     "Custom",
+    "Variant",
     "ProtocolSpec",
     "SensitivityReport",
-    "ground_state_length",
     "beta_from_displacement",
     "displacement_from_beta",
     "efield_sensitivity_from_eta",
@@ -136,14 +137,11 @@ class NoiseModel:
     excess_noise_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ConfigError("NoiseModel.sigma must be >= 0")
-        if self.nbar < 0.0:
-            raise ConfigError("NoiseModel.nbar must be >= 0")
-        if self.gamma < 0.0:
-            raise ConfigError("NoiseModel.gamma must be >= 0")
-        if self.excess_noise_factor < 1.0:
-            raise ConfigError("NoiseModel.excess_noise_factor must be >= 1")
+        bounds = (("sigma", 0.0), ("nbar", 0.0), ("gamma", 0.0), ("excess_noise_factor", 1.0))
+        for name, low in bounds:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= low):
+                raise ConfigError(f"NoiseModel.{name} must be finite and >= {low:g}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +157,8 @@ class Segment:
     eta: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.duration, self.g, self.eta))):
+            raise ConfigError("Segment fields must be finite")
         if self.duration < 0.0:
             raise ConfigError("Segment.duration must be >= 0")
 
@@ -169,6 +169,10 @@ class Kick:
 
     time: float
     beta: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.beta):
+            raise ConfigError("Kick.beta must be finite")
 
 
 @dataclass(frozen=True)
@@ -206,127 +210,252 @@ class PulseSchedule:
             kicks=tuple(Kick(k.time, k.beta * scale) for k in self.kicks),
         )
 
+    def __call__(self, drive_scale: float = 1.0) -> "PulseSchedule":
+        """``scaled_drive(drive_scale)``, so a stored schedule answers the
+        variants' ``schedule(drive_scale)``."""
+        return self.scaled_drive(drive_scale)
+
+
+# angular frequencies (rad/s) that JSON carries in Hz, under a _hz suffix
+_HZ_FIELDS = ("g", "eta", "sigma", "trap_freq")
+
+
+def _fields_to_json(obj) -> dict:
+    """A dataclass's fields in order; tuples of dataclasses become lists."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in _HZ_FIELDS:
+            out[f"{f.name}_hz"] = value / TWO_PI
+        elif isinstance(value, tuple):
+            out[f.name] = [_fields_to_json(item) for item in value]
+        else:
+            out[f.name] = value
+    return out
+
+
+def _fields_from_json(cls, obj: dict):
+    """Inverse of ``_fields_to_json`` for a dataclass of numbers; absent
+    fields take their defaults."""
+    kwargs = {}
+    for f in fields(cls):
+        key = f"{f.name}_hz" if f.name in _HZ_FIELDS else f.name
+        if key not in obj:
+            if f.default is MISSING:
+                raise ConfigError(f"{cls.__name__} JSON missing field {key!r}")
+        elif f.name in _HZ_FIELDS:
+            kwargs[f.name] = TWO_PI * obj[key]
+        else:
+            kwargs[f.name] = obj[key]
+    return cls(**kwargs)
+
+
+class Variant:
+    """A sensing protocol.  Each variant is a frozen dataclass that defines
+
+    * ``name``: its JSON ``variant`` value and report name;
+    * ``schedule(drive_scale)``: its pulse schedule, every drive amplitude
+      (kick beta, eta) times ``drive_scale``;
+    * ``sql``: the coherent-state reference for the estimated amplitude;
+    * ``tau_cap``: the largest drive time tau as a fraction of T;
+    * ``drive``: the drive-amplitude field that ``unit_drive`` sets to 1;
+    * ``closed_form``: the ``kernels`` function of its unit-drive kernels,
+      called with the non-drive fields and the detuning (None: generic kernels).
+
+    Sign convention: the entangling (initial) pulse carries +g, the readout
+    (final) pulse -g, so the echo responds to a kick with d<Jy>/dbeta =
+    -sqrt(N)*g*tau at zero detuning, as does a bare readout pulse.
+    """
+
+    name: ClassVar[str]
+    tau_cap: ClassVar[float] = 1.0
+    drive: ClassVar[Optional[str]] = None
+    closed_form: ClassVar[Optional[str]] = None
+    _by_name: ClassVar[dict] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "name" in vars(cls):
+            Variant._by_name[cls.name] = cls
+
+    @staticmethod
+    def lookup(name: str) -> type:
+        """The variant class called ``name``, or ``name + "_efield"`` (``"quantum"``)."""
+        cls = Variant._by_name.get(name) or Variant._by_name.get(f"{name}_efield")
+        if cls is None:
+            raise ConfigError(f"unknown protocol variant {name!r}")
+        return cls
+
+    def __post_init__(self) -> None:
+        kind = type(self).__name__
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{kind}.{f.name} must be finite")
+        if not self.tau > 0.0:
+            raise ConfigError(f"{kind}.tau must be > 0")
+        if self.tau > self.tau_cap * getattr(self, "T", math.inf):
+            raise ConfigError(f"{kind} requires tau <= {self.tau_cap:g}*T")
+
+    def unit_drive(self) -> "Variant":
+        """Copy with unit drive amplitude; without a drive field, the variant itself."""
+        return replace(self, **{self.drive: 1.0}) if self.drive else self
+
+    def to_json(self) -> dict:
+        return _fields_to_json(self)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Variant":
+        return _fields_from_json(cls, obj)
+
 
 @dataclass(frozen=True)
-class Displacement:
+class _KickVariant(Variant):
+    """Spin-dependent pulses of length tau around a displacement kick beta."""
+
+    g: float
+    tau: float
+    beta: float = 0.0
+    drive = "beta"
+
+    @property
+    def sql(self) -> float:
+        return 0.25
+
+
+@dataclass(frozen=True)
+class _EFieldVariant(Variant):
+    """A constant drive eta for T, read out by spin-dependent pulses of length tau."""
+
+    g: float
+    tau: float
+    T: float
+    eta: float = 0.0
+    drive = "eta"
+
+    @property
+    def sql(self) -> float:
+        return 1.0 / (4.0 * self.T**2)
+
+
+@dataclass(frozen=True)
+class Displacement(_KickVariant):
     """Echo protocol: drive +g for tau, kick beta, drive -g for tau."""
 
-    g: float
-    tau: float
-    beta: float = 0.0
+    name = "displacement"
+    closed_form = "kernels_displacement"
 
-    def __post_init__(self) -> None:
-        if not self.tau > 0.0:
-            raise ConfigError("Displacement.tau must be > 0")
+    def schedule(self, drive_scale: float = 1.0) -> PulseSchedule:
+        return PulseSchedule(
+            segments=(Segment(self.tau, self.g, 0.0), Segment(self.tau, -self.g, 0.0)),
+            kicks=(Kick(self.tau, self.beta * drive_scale),),
+        )
 
 
 @dataclass(frozen=True)
-class ReadoutOnly:
+class ReadoutOnly(_KickVariant):
     """Kick beta first, then a single readout drive of duration tau."""
 
-    g: float
-    tau: float
-    beta: float = 0.0
+    name = "readout"
+    closed_form = "kernels_readout"
 
-    def __post_init__(self) -> None:
-        if not self.tau > 0.0:
-            raise ConfigError("ReadoutOnly.tau must be > 0")
+    def schedule(self, drive_scale: float = 1.0) -> PulseSchedule:
+        return PulseSchedule(
+            segments=(Segment(self.tau, -self.g, 0.0),),
+            kicks=(Kick(0.0, self.beta * drive_scale),),
+        )
 
 
 @dataclass(frozen=True)
-class ClassicalEField:
+class ClassicalEField(_EFieldVariant):
     """Constant drive eta for T with a single readout pulse of length tau at the end."""
 
-    g: float
-    tau: float
-    T: float
-    eta: float = 0.0
+    name = "classical_efield"
+    closed_form = "kernels_classical_efield"
 
-    def __post_init__(self) -> None:
-        if not self.tau > 0.0:
-            raise ConfigError("ClassicalEField.tau must be > 0")
-        if self.tau > self.T:
-            raise ConfigError("ClassicalEField requires tau <= T")
+    def schedule(self, drive_scale: float = 1.0) -> PulseSchedule:
+        eta = self.eta * drive_scale
+        return PulseSchedule(
+            segments=(
+                Segment(self.T - self.tau, 0.0, eta),
+                Segment(self.tau, -self.g, eta),
+            )
+        )
 
 
 @dataclass(frozen=True)
-class QuantumEField:
+class QuantumEField(_EFieldVariant):
     """Constant drive eta for T with entangling pulses of length tau at both ends."""
 
-    g: float
-    tau: float
-    T: float
-    eta: float = 0.0
+    name = "quantum_efield"
+    closed_form = "kernels_quantum_efield"
+    tau_cap = 0.5
 
-    def __post_init__(self) -> None:
-        if not self.tau > 0.0:
-            raise ConfigError("QuantumEField.tau must be > 0")
-        if 2.0 * self.tau > self.T:
-            raise ConfigError("QuantumEField requires 2*tau <= T")
+    def schedule(self, drive_scale: float = 1.0) -> PulseSchedule:
+        eta = self.eta * drive_scale
+        return PulseSchedule(
+            segments=(
+                Segment(self.tau, self.g, eta),
+                Segment(self.T - 2.0 * self.tau, 0.0, eta),
+                Segment(self.tau, -self.g, eta),
+            )
+        )
 
 
 @dataclass(frozen=True)
-class Custom:
-    """An arbitrary user-supplied pulse schedule."""
+class Custom(Variant):
+    """An arbitrary user-supplied pulse schedule, which is its own unit drive.
+
+    The stored PulseSchedule is callable with a drive scale, so
+    ``schedule(drive_scale)`` works as for every variant.
+    """
 
     schedule: PulseSchedule
+    name = "custom"
 
+    def __post_init__(self) -> None:
+        """The PulseSchedule validated itself when it was built."""
 
-Variant = Union[Displacement, ReadoutOnly, ClassicalEField, QuantumEField, Custom]
+    @property
+    def sql(self) -> float:
+        # kick-only schedules estimate a displacement, drive-only schedules a
+        # constant drive strength; a mixed schedule has no canonical reference
+        has_kicks = any(k.beta != 0.0 for k in self.schedule.kicks)
+        has_drive = any(seg.eta != 0.0 for seg in self.schedule.segments)
+        if has_kicks and not has_drive:
+            return 0.25
+        if has_drive and not has_kicks:
+            return 1.0 / (4.0 * self.schedule.total_duration**2)
+        raise ConfigError(
+            "custom schedule needs exactly one drive type (kicks or continuous eta) "
+            "for a sensitivity reference"
+        )
+
+    def to_json(self) -> dict:
+        return _fields_to_json(self.schedule)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Custom":
+        segments = tuple(_fields_from_json(Segment, s) for s in obj.get("segments", []))
+        kicks = tuple(_fields_from_json(Kick, k) for k in obj.get("kicks", []))
+        return cls(PulseSchedule(segments, kicks))
 
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A named sensing protocol plus the ion number."""
+    """A sensing protocol variant plus the ion number (an integer >= 2)."""
 
     variant: Variant
     n_ions: int
 
     def __post_init__(self) -> None:
-        if self.n_ions < 1:
-            raise ConfigError("ProtocolSpec.n_ions must be >= 1")
+        n = self.n_ions
+        if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= 2):
+            raise ConfigError(f"ProtocolSpec.n_ions must be an integer >= 2, not {n!r}")
+        object.__setattr__(self, "n_ions", int(n))
 
     def schedule(self, drive_scale: float = 1.0) -> PulseSchedule:
-        """Canonical pulse schedule for this protocol.
-
-        Sign convention: the readout (final) spin-dependent pulse carries -g,
-        the entangling (initial) pulse +g.  With this choice the response of
-        the echo protocol to a kick is d<Jy>/dbeta = -sqrt(N)*g*tau at zero
-        detuning, and a bare readout pulse gives the same sign.
-        ``drive_scale`` multiplies every drive amplitude (kick beta and eta),
-        which is the knob used for numerical slope evaluation.
-        """
-        v = self.variant
-        if isinstance(v, Displacement):
-            return PulseSchedule(
-                segments=(Segment(v.tau, v.g, 0.0), Segment(v.tau, -v.g, 0.0)),
-                kicks=(Kick(v.tau, v.beta * drive_scale),),
-            )
-        if isinstance(v, ReadoutOnly):
-            return PulseSchedule(
-                segments=(Segment(v.tau, -v.g, 0.0),),
-                kicks=(Kick(0.0, v.beta * drive_scale),),
-            )
-        if isinstance(v, ClassicalEField):
-            eta = v.eta * drive_scale
-            return PulseSchedule(
-                segments=(
-                    Segment(v.T - v.tau, 0.0, eta),
-                    Segment(v.tau, -v.g, eta),
-                )
-            )
-        if isinstance(v, QuantumEField):
-            eta = v.eta * drive_scale
-            return PulseSchedule(
-                segments=(
-                    Segment(v.tau, v.g, eta),
-                    Segment(v.T - 2.0 * v.tau, 0.0, eta),
-                    Segment(v.tau, -v.g, eta),
-                )
-            )
-        if isinstance(v, Custom):
-            return v.schedule.scaled_drive(drive_scale)
-        raise ConfigError(f"unknown protocol variant {type(v).__name__}")
+        """The variant's pulse schedule, every drive amplitude times ``drive_scale``."""
+        return self.variant.schedule(drive_scale)
 
 
 @dataclass(frozen=True)
@@ -363,11 +492,6 @@ class SensitivityReport:
 # ---------------------------------------------------------------------------
 # unit conversions
 # ---------------------------------------------------------------------------
-
-
-def ground_state_length(constants: PhysicalConstants) -> float:
-    """sqrt(hbar/(2 m omega_z)) in meters."""
-    return constants.z0
 
 
 def beta_from_displacement(zc: float, n_ions: int, constants: PhysicalConstants) -> float:
@@ -431,115 +555,28 @@ def db_below(reference: float, achieved: float) -> float:
 
 
 def constants_to_json(constants: PhysicalConstants) -> dict:
-    return {
-        "hbar": constants.hbar,
-        "ion_mass": constants.ion_mass,
-        "ion_charge": constants.ion_charge,
-        "trap_freq_hz": constants.trap_freq / TWO_PI,
-    }
+    return _fields_to_json(constants)
 
 
 def constants_from_json(obj: dict) -> PhysicalConstants:
-    defaults = PhysicalConstants()
-    return PhysicalConstants(
-        hbar=obj.get("hbar", defaults.hbar),
-        ion_mass=obj.get("ion_mass", defaults.ion_mass),
-        ion_charge=obj.get("ion_charge", defaults.ion_charge),
-        trap_freq=TWO_PI * obj["trap_freq_hz"]
-        if "trap_freq_hz" in obj
-        else defaults.trap_freq,
-    )
+    return _fields_from_json(PhysicalConstants, obj)
 
 
 def noise_model_to_json(noise: NoiseModel) -> dict:
-    return {
-        "sigma_hz": noise.sigma / TWO_PI,
-        "nbar": noise.nbar,
-        "gamma": noise.gamma,
-        "excess_noise_factor": noise.excess_noise_factor,
-    }
+    return _fields_to_json(noise)
 
 
 def noise_model_from_json(obj: dict) -> NoiseModel:
-    return NoiseModel(
-        sigma=TWO_PI * obj.get("sigma_hz", 0.0),
-        nbar=obj.get("nbar", 0.0),
-        gamma=obj.get("gamma", 0.0),
-        excess_noise_factor=obj.get("excess_noise_factor", 1.0),
-    )
-
-
-_VARIANT_NAMES = {
-    Displacement: "displacement",
-    ReadoutOnly: "readout",
-    ClassicalEField: "classical_efield",
-    QuantumEField: "quantum_efield",
-    Custom: "custom",
-}
+    return _fields_from_json(NoiseModel, obj)
 
 
 def protocol_spec_to_json(spec: ProtocolSpec) -> dict:
-    v = spec.variant
-    out: dict = {"variant": _VARIANT_NAMES[type(v)], "n_ions": spec.n_ions}
-    if isinstance(v, (Displacement, ReadoutOnly)):
-        out.update({"g_hz": v.g / TWO_PI, "tau": v.tau, "beta": v.beta})
-    elif isinstance(v, (ClassicalEField, QuantumEField)):
-        out.update(
-            {"g_hz": v.g / TWO_PI, "tau": v.tau, "T": v.T, "eta_hz": v.eta / TWO_PI}
-        )
-    else:
-        out["segments"] = [
-            {"duration": s.duration, "g_hz": s.g / TWO_PI, "eta_hz": s.eta / TWO_PI}
-            for s in v.schedule.segments
-        ]
-        out["kicks"] = [{"time": k.time, "beta": k.beta} for k in v.schedule.kicks]
-    return out
+    return {"variant": spec.variant.name, "n_ions": spec.n_ions, **spec.variant.to_json()}
 
 
 def protocol_spec_from_json(obj: dict) -> ProtocolSpec:
     try:
-        name = obj["variant"]
-        n_ions = int(obj["n_ions"])
-        if name == "displacement":
-            variant: Variant = Displacement(
-                g=TWO_PI * obj["g_hz"], tau=obj["tau"], beta=obj.get("beta", 0.0)
-            )
-        elif name == "readout":
-            variant = ReadoutOnly(
-                g=TWO_PI * obj["g_hz"], tau=obj["tau"], beta=obj.get("beta", 0.0)
-            )
-        elif name == "classical_efield":
-            variant = ClassicalEField(
-                g=TWO_PI * obj["g_hz"],
-                tau=obj["tau"],
-                T=obj["T"],
-                eta=TWO_PI * obj.get("eta_hz", 0.0),
-            )
-        elif name == "quantum_efield":
-            variant = QuantumEField(
-                g=TWO_PI * obj["g_hz"],
-                tau=obj["tau"],
-                T=obj["T"],
-                eta=TWO_PI * obj.get("eta_hz", 0.0),
-            )
-        elif name == "custom":
-            variant = Custom(
-                PulseSchedule(
-                    segments=tuple(
-                        Segment(
-                            s["duration"],
-                            TWO_PI * s.get("g_hz", 0.0),
-                            TWO_PI * s.get("eta_hz", 0.0),
-                        )
-                        for s in obj.get("segments", [])
-                    ),
-                    kicks=tuple(
-                        Kick(k["time"], k["beta"]) for k in obj.get("kicks", [])
-                    ),
-                )
-            )
-        else:
-            raise ConfigError(f"unknown protocol variant {name!r}")
+        cls, n_ions = Variant.lookup(obj["variant"]), obj["n_ions"]
     except KeyError as exc:
         raise ConfigError(f"protocol spec missing field {exc}") from exc
-    return ProtocolSpec(variant=variant, n_ions=n_ions)
+    return ProtocolSpec(cls.from_json(obj), n_ions)

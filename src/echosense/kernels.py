@@ -11,9 +11,9 @@ delta, the three kernels are
 Instantaneous kicks enter q as delta-function contributions of eta(t).
 
 Specialized closed forms are provided for the four named protocols; the sign
-convention (entangling pulse +g, readout pulse -g, see
-``ProtocolSpec.schedule``) fixes the sign of q.  All specialized functions
-broadcast over ``delta`` so a full quadrature grid is one call.
+convention (entangling pulse +g, readout pulse -g, see ``core.Variant``)
+fixes the sign of q.  All specialized functions broadcast over ``delta`` so a
+full quadrature grid is one call.
 
 Numerical notes: h and q are evaluated through cancellation-free product
 forms, so they are accurate at every nonzero detuning and switch to the exact

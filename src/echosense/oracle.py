@@ -29,23 +29,13 @@ trace drifts by more than 1e-8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import (
-    ConfigError,
-    Displacement,
-    NumericalError,
-    ProtocolSpec,
-    PulseSchedule,
-    QuantumEField,
-    ClassicalEField,
-    ReadoutOnly,
-    Segment,
-)
+from .core import ConfigError, NumericalError, ProtocolSpec, PulseSchedule, Segment
 from .moments import SpinMoments
 
 __all__ = [
@@ -125,8 +115,21 @@ class DickeBosonState:
         return float(np.sum(np.abs(self.amplitudes[:, -2:]) ** 2))
 
 
+class _SpinMomentsView:
+    """``as_spin_moments`` of the oracle records, which carry jx, jy, jy_sq and slope."""
+
+    def as_spin_moments(self) -> SpinMoments:
+        return SpinMoments(
+            jy_mean=self.jy,
+            jy_sq=self.jy_sq,
+            slope=self.slope,
+            jx_mean=self.jx,
+            in_domain=True,
+        )
+
+
 @dataclass(frozen=True)
-class OracleMoments:
+class OracleMoments(_SpinMomentsView):
     """Exact-evolution moments plus the raw transverse pieces used in diagnostics."""
 
     jx: float
@@ -140,18 +143,9 @@ class OracleMoments:
     leakage: float
     n_cut: int
 
-    def as_spin_moments(self) -> SpinMoments:
-        return SpinMoments(
-            jy_mean=self.jy,
-            jy_sq=self.jy_sq,
-            slope=self.slope,
-            jx_mean=self.jx,
-            in_domain=True,
-        )
-
 
 @dataclass(frozen=True)
-class LindbladMoments:
+class LindbladMoments(_SpinMomentsView):
     jx: float
     jy: float
     jy_sq: float
@@ -159,15 +153,6 @@ class LindbladMoments:
     jpm_sym: float
     trace_error: float
     n_cut: int
-
-    def as_spin_moments(self) -> SpinMoments:
-        return SpinMoments(
-            jy_mean=self.jy,
-            jy_sq=self.jy_sq,
-            slope=self.slope,
-            jx_mean=self.jx,
-            in_domain=True,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +259,18 @@ def _timeline(schedule: PulseSchedule) -> list[tuple[str, object]]:
     return events
 
 
-def _unit_drive_spec(spec: ProtocolSpec) -> ProtocolSpec:
-    """Copy of spec with unit drive amplitude (beta=1 or eta=1); Custom is its own unit."""
-    v = spec.variant
-    if isinstance(v, (Displacement, ReadoutOnly)):
-        return ProtocolSpec(replace(v, beta=1.0), spec.n_ions)
-    if isinstance(v, (ClassicalEField, QuantumEField)):
-        return ProtocolSpec(replace(v, eta=1.0), spec.n_ions)
-    return spec
+def _drive_slope(jy_at: Callable[[float], float], unit_schedule: PulseSchedule) -> float:
+    """d<Jy>/d(drive amplitude) at zero drive from ``jy_at(drive_scale)``.
 
-
-def _fd_step(schedule: PulseSchedule) -> float:
-    if any(seg.eta != 0.0 for seg in schedule.segments):
-        return FD_STEP / schedule.total_duration
-    return FD_STEP
+    Central differences at steps h and h/2 combined by one Richardson step;
+    h = FD_STEP, divided by the schedule duration for continuous drives.
+    """
+    step = FD_STEP
+    if any(seg.eta != 0.0 for seg in unit_schedule.segments):
+        step = FD_STEP / unit_schedule.total_duration
+    d1 = (jy_at(step) - jy_at(-step)) / (2.0 * step)
+    d2 = (jy_at(step / 2.0) - jy_at(-step / 2.0)) / step
+    return (4.0 * d2 - d1) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +278,20 @@ def _fd_step(schedule: PulseSchedule) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _boson_ops(n_cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fock numbers 0..n_cut, x = a + a^dag and the Hermitian y = i(a^dag - a)."""
+    n = np.arange(n_cut + 1, dtype=float)
+    a = np.diag(np.sqrt(n[1:]), 1)
+    y = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
+    y.imag = a.T - a
+    return n, a + a.T, y
+
+
 class _BlockCache:
     """Eigendecompositions of the per-block Hamiltonians, shared within a run."""
 
     def __init__(self, delta: float, n_cut: int):
-        dim = n_cut + 1
-        n = np.arange(dim, dtype=float)
-        self.number = n
-        self.x_op = np.zeros((dim, dim))
-        for k in range(dim - 1):
-            self.x_op[k, k + 1] = self.x_op[k + 1, k] = math.sqrt(k + 1.0)
-        # y = i(a^dag - a), Hermitian
-        self.y_op = np.zeros((dim, dim), dtype=complex)
-        for k in range(dim - 1):
-            self.y_op[k + 1, k] = 1.0j * math.sqrt(k + 1.0)
-            self.y_op[k, k + 1] = -1.0j * math.sqrt(k + 1.0)
+        self.number, self.x_op, self.y_op = _boson_ops(n_cut)
         self.delta = delta
         self._eigs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
         self._kicks: dict[float, np.ndarray] = {}
@@ -335,79 +317,104 @@ class _BlockCache:
         return self._kicks[beta]
 
 
-def _propagate_blocks(
-    schedule: PulseSchedule,
-    delta: float,
-    n_ions: int,
-    n_cut: int,
-    n_comp: int,
-    css: np.ndarray,
-    cache: _BlockCache,
-    leak_tol: float,
-) -> np.ndarray:
-    """Evolve boson columns e_0..e_{n_comp-1} through the schedule for every Jz block.
+class _ExactRun:
+    """Validated setup shared by the exact-oracle entry points.
 
-    Returns B with shape (N+1, n_cut+1, n_comp).  Leakage is checked after
-    every segment and kick, per ensemble component.
+    Checks the ion cap; defaults the ensemble to the vacuum, the propagated
+    boson columns e_0..e_{n_comp-1} to the ensemble length, and the Fock
+    cutoff to ``default_fock_cutoff`` of ``sizing`` plus one level per column
+    beyond the ensemble.  Holds the coherent spin state, the ladder operators
+    and the block eigendecompositions.
     """
-    dim = n_cut + 1
-    m_values = np.arange(n_ions + 1) - n_ions / 2.0
-    blocks = np.zeros((n_ions + 1, dim, n_comp), dtype=complex)
-    blocks[:] = np.eye(dim, dtype=complex)[:, :n_comp]
 
-    events = _timeline(schedule)
-    probs = np.abs(css) ** 2
-    worst_leak = 0.0
+    def __init__(
+        self,
+        spec: ProtocolSpec,
+        delta: float,
+        sizing: PulseSchedule,
+        n_cut: Optional[int],
+        initial: Optional[ThermalEnsemble],
+        leak_tol: float,
+        n_comp: Optional[int] = None,
+    ):
+        n_ions = spec.n_ions
+        if n_ions > MAX_HAMILTONIAN_IONS:
+            raise ConfigError(f"exact oracle capped at N <= {MAX_HAMILTONIAN_IONS}")
+        ensemble = initial if initial is not None else ThermalEnsemble.from_nbar(0.0)
+        n_comp = n_comp if n_comp is not None else len(ensemble.weights)
+        if n_cut is None:
+            n_cut = default_fock_cutoff(sizing, delta, n_ions, ensemble)
+            n_cut += n_comp - len(ensemble.weights)
+        if n_comp > n_cut:
+            raise ConfigError("initial Fock levels exceed the Fock cutoff")
+        self.n_ions = n_ions
+        self.weights = ensemble.weights
+        self.n_cut = n_cut
+        self.n_comp = n_comp
+        self.leak_tol = leak_tol
+        self.css = _css_amplitudes(n_ions)
+        self.ops = _ladder_ops(n_ions)
+        self.cache = _BlockCache(delta, n_cut)
+        self.worst_leak = 0.0
 
-    def check_leakage() -> float:
-        leak = np.einsum("a,akn->n", probs, np.abs(blocks[:, -2:, :]) ** 2)
-        worst = float(np.max(leak))
-        if worst > leak_tol:
-            raise NumericalError(
-                f"Fock-truncation leakage {worst:.3e} exceeds {leak_tol:.1e}; "
-                "increase n_cut"
-            )
-        return worst
+    def propagate(self, schedule: PulseSchedule) -> np.ndarray:
+        """Evolve the boson columns through the schedule for every Jz block.
 
-    for kind_name, payload in events:
-        if kind_name == "segment":
-            seg = payload
-            if seg.duration == 0.0:
-                continue
-            for a, m in enumerate(m_values):
-                lam, vec = cache.block_eig(seg.g * m / math.sqrt(n_ions), seg.eta)
-                phases = np.exp(-1.0j * lam * seg.duration)
-                blocks[a] = vec @ (phases[:, None] * (vec.conj().T @ blocks[a]))
-        else:
-            kick = payload
-            if kick.beta == 0.0:
-                continue
-            op = cache.kick(kick.beta)
-            for a in range(n_ions + 1):
-                blocks[a] = op @ blocks[a]
-        worst_leak = max(worst_leak, check_leakage())
-    return blocks, worst_leak
+        Returns B with shape (N+1, n_cut+1, n_comp).  Leakage is checked after
+        every segment and kick, per ensemble component.
+        """
+        n_ions, cache = self.n_ions, self.cache
+        m_values = np.arange(n_ions + 1) - n_ions / 2.0
+        blocks = np.zeros((n_ions + 1, self.n_cut + 1, self.n_comp), dtype=complex)
+        blocks[:] = np.eye(self.n_cut + 1, dtype=complex)[:, : self.n_comp]
+        probs = np.abs(self.css) ** 2
 
+        for kind_name, payload in _timeline(schedule):
+            if kind_name == "segment":
+                seg = payload
+                if seg.duration == 0.0:
+                    continue
+                for a, m in enumerate(m_values):
+                    lam, vec = cache.block_eig(seg.g * m / math.sqrt(n_ions), seg.eta)
+                    phases = np.exp(-1.0j * lam * seg.duration)
+                    blocks[a] = vec @ (phases[:, None] * (vec.conj().T @ blocks[a]))
+            else:
+                kick = payload
+                if kick.beta == 0.0:
+                    continue
+                op = cache.kick(kick.beta)
+                for a in range(n_ions + 1):
+                    blocks[a] = op @ blocks[a]
+            leak = np.einsum("a,akn->n", probs, np.abs(blocks[:, -2:, :]) ** 2)
+            worst = float(np.max(leak))
+            if worst > self.leak_tol:
+                raise NumericalError(
+                    f"Fock-truncation leakage {worst:.3e} exceeds {self.leak_tol:.1e}; "
+                    "increase n_cut"
+                )
+            self.worst_leak = max(self.worst_leak, worst)
+        return blocks
 
-def _ensemble_moments(
-    blocks: np.ndarray, css: np.ndarray, weights: np.ndarray, ops: dict
-) -> dict:
-    nw = min(blocks.shape[2], len(weights))
-    scaled = blocks[:, :, :nw] * np.sqrt(weights[:nw])[None, None, :]
-    overlap = np.einsum("akn,bkn->ab", scaled.conj(), scaled)
+    def moments(self, schedule: PulseSchedule) -> dict:
+        """Ensemble-averaged final-state moments of the schedule (needs
+        ``n_comp`` equal to the ensemble length)."""
+        blocks = self.propagate(schedule)
+        css, ops = self.css, self.ops
+        scaled = blocks * np.sqrt(self.weights)[None, None, :]
+        overlap = np.einsum("akn,bkn->ab", scaled.conj(), scaled)
 
-    def expect(op: np.ndarray) -> complex:
-        return complex(css.conj() @ (op * overlap) @ css)
+        def expect(op: np.ndarray) -> complex:
+            return complex(css.conj() @ (op * overlap) @ css)
 
-    return {
-        "norm": expect(np.eye(len(css), dtype=complex)).real,
-        "jx": expect(ops["jx"]).real,
-        "jy": expect(ops["jy"]).real,
-        "jy_sq": expect(ops["jy2"]).real,
-        "jplus": expect(ops["jp"]),
-        "jplus_sq": expect(ops["jp2"]),
-        "jpm_sym": expect(ops["jpm_sym"]).real,
-    }
+        return {
+            "norm": expect(np.eye(len(css), dtype=complex)).real,
+            "jx": expect(ops["jx"]).real,
+            "jy": expect(ops["jy"]).real,
+            "jy_sq": expect(ops["jy2"]).real,
+            "jplus": expect(ops["jp"]),
+            "jplus_sq": expect(ops["jp2"]),
+            "jpm_sym": expect(ops["jpm_sym"]).real,
+        }
 
 
 def evolve_exact_detail(
@@ -418,43 +425,13 @@ def evolve_exact_detail(
     leak_tol: float = 1e-10,
 ) -> OracleMoments:
     """Exact Hamiltonian evolution; returns moments, slope, and raw diagnostics."""
-    n_ions = spec.n_ions
-    if n_ions > MAX_HAMILTONIAN_IONS:
-        raise ConfigError(f"exact oracle capped at N <= {MAX_HAMILTONIAN_IONS}")
-    if n_ions < 2:
-        raise ConfigError("oracle needs n_ions >= 2")
-    ensemble = initial if initial is not None else ThermalEnsemble.from_nbar(0.0)
-    unit = _unit_drive_spec(spec)
-    base_schedule = unit.schedule(0.0)
-    if n_cut is None:
-        n_cut = default_fock_cutoff(unit.schedule(1.0), delta, n_ions, ensemble)
-    n_comp = len(ensemble.weights)
-    if n_comp > n_cut:
-        raise ConfigError("ensemble longer than Fock cutoff")
-
-    css = _css_amplitudes(n_ions)
-    ops = _ladder_ops(n_ions)
-    cache = _BlockCache(delta, n_cut)
-    worst_leak = 0.0
-
-    def run(scale: float) -> dict:
-        nonlocal worst_leak
-        sched = unit.schedule(scale) if scale != 0.0 else base_schedule
-        blocks, leak = _propagate_blocks(
-            sched, delta, n_ions, n_cut, n_comp, css, cache, leak_tol
-        )
-        worst_leak = max(worst_leak, leak)
-        return _ensemble_moments(blocks, css, ensemble.weights, ops)
-
-    at_zero = run(0.0)
+    unit = spec.variant.unit_drive()
+    run = _ExactRun(spec, delta, unit.schedule(1.0), n_cut, initial, leak_tol)
+    at_zero = run.moments(unit.schedule(0.0))
     norm_error = abs(at_zero["norm"] - 1.0)
     if norm_error > 1e-10:
         raise NumericalError(f"norm drift {norm_error:.3e} exceeds 1e-10")
-
-    step = _fd_step(unit.schedule(1.0))
-    d1 = (run(step)["jy"] - run(-step)["jy"]) / (2.0 * step)
-    d2 = (run(step / 2.0)["jy"] - run(-step / 2.0)["jy"]) / step
-    slope = (4.0 * d2 - d1) / 3.0
+    slope = _drive_slope(lambda s: run.moments(unit.schedule(s))["jy"], unit.schedule(1.0))
 
     return OracleMoments(
         jx=at_zero["jx"],
@@ -465,8 +442,8 @@ def evolve_exact_detail(
         jplus_sq=at_zero["jplus_sq"],
         jpm_sym=at_zero["jpm_sym"],
         norm_error=norm_error,
-        leakage=worst_leak,
-        n_cut=n_cut,
+        leakage=run.worst_leak,
+        n_cut=run.n_cut,
     )
 
 
@@ -494,22 +471,8 @@ def driven_moments(
     the first-order slope), this propagates the schedule exactly as given and
     returns {"jx", "jy", "jy_sq", "jplus", "jplus_sq", "jpm_sym", "norm"}.
     """
-    n_ions = spec.n_ions
-    if n_ions > MAX_HAMILTONIAN_IONS:
-        raise ConfigError(f"exact oracle capped at N <= {MAX_HAMILTONIAN_IONS}")
-    if n_ions < 2:
-        raise ConfigError("oracle needs n_ions >= 2")
-    ensemble = initial if initial is not None else ThermalEnsemble.from_nbar(0.0)
     schedule = spec.schedule(1.0)
-    if n_cut is None:
-        n_cut = default_fock_cutoff(schedule, delta, n_ions, ensemble)
-    css = _css_amplitudes(n_ions)
-    ops = _ladder_ops(n_ions)
-    cache = _BlockCache(delta, n_cut)
-    blocks, _leak = _propagate_blocks(
-        schedule, delta, n_ions, n_cut, len(ensemble.weights), css, cache, leak_tol
-    )
-    return _ensemble_moments(blocks, css, ensemble.weights, ops)
+    return _ExactRun(spec, delta, schedule, n_cut, initial, leak_tol).moments(schedule)
 
 
 def final_state(
@@ -523,24 +486,10 @@ def final_state(
 
     amplitudes[m, k] is the coefficient of |m_z = m - N/2> x |k>.
     """
-    n_ions = spec.n_ions
-    if n_ions > MAX_HAMILTONIAN_IONS:
-        raise ConfigError(f"exact oracle capped at N <= {MAX_HAMILTONIAN_IONS}")
-    if n_ions < 2:
-        raise ConfigError("oracle needs n_ions >= 2")
     schedule = spec.schedule(1.0)
-    if n_cut is None:
-        ens = ThermalEnsemble.from_nbar(0.0)
-        n_cut = default_fock_cutoff(schedule, delta, n_ions, ens) + initial_fock
-    if initial_fock >= n_cut:
-        raise ConfigError("initial Fock level above the cutoff")
-    css = _css_amplitudes(n_ions)
-    cache = _BlockCache(delta, n_cut)
-    blocks, _leak = _propagate_blocks(
-        schedule, delta, n_ions, n_cut, initial_fock + 1, css, cache, leak_tol
-    )
-    amplitudes = css[:, None] * blocks[:, :, initial_fock]
-    return DickeBosonState(amplitudes=amplitudes, n_ions=n_ions)
+    run = _ExactRun(spec, delta, schedule, n_cut, None, leak_tol, n_comp=initial_fock + 1)
+    amplitudes = run.css[:, None] * run.propagate(schedule)[:, :, initial_fock]
+    return DickeBosonState(amplitudes=amplitudes, n_ions=spec.n_ions)
 
 
 def damped_by_dephasing(
@@ -580,10 +529,7 @@ class _LindbladSystem:
         self.z_single = np.array(z_single)
         self.jz_diag = 0.5 * self.z_single.sum(axis=0)
 
-        n = np.arange(dim_b, dtype=float)
-        a = np.diag(np.sqrt(n[1:]), 1)
-        self.x_b = a + a.T
-        self.y_b = 1.0j * (a.T - a)
+        n, self.x_b, self.y_b = _boson_ops(n_cut)
         self.num_b = np.diag(n)
         self.delta = delta
 
@@ -591,26 +537,16 @@ class _LindbladSystem:
         full_z = np.repeat(self.z_single, dim_b, axis=1)  # sigma_z^i on (s, n) index
         self.mask = np.einsum("ia,ib->ab", full_z, full_z)
 
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-        jx_s = np.zeros((dim_s, dim_s), dtype=complex)
-        jy_s = np.zeros((dim_s, dim_s), dtype=complex)
-        jz_s = np.zeros((dim_s, dim_s), dtype=complex)
-        for i in range(n_ions):
-            ops = [np.eye(2)] * n_ions
-            for single, target in ((sx, "x"), (sy, "y"), (sz, "z")):
-                ops_i = list(ops)
-                ops_i[i] = single
-                acc = ops_i[0]
-                for o in ops_i[1:]:
-                    acc = np.kron(acc, o)
-                if target == "x":
-                    jx_s += 0.5 * acc
-                elif target == "y":
-                    jy_s += 0.5 * acc
-                else:
-                    jz_s += 0.5 * acc
+        def collective(single: np.ndarray) -> np.ndarray:
+            """sum_i single_i / 2 over the spin product space."""
+            total = np.zeros((dim_s, dim_s), dtype=complex)
+            for i in range(n_ions):
+                left, right = np.eye(2**i), np.eye(2 ** (n_ions - 1 - i))
+                total += 0.5 * np.kron(np.kron(left, single), right)
+            return total
+
+        jx_s = collective(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        jy_s = collective(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
         self.jx = np.kron(jx_s, eye_b)
         self.jy = np.kron(jy_s, eye_b)
         self.jy2 = self.jy @ self.jy
@@ -695,18 +631,19 @@ def evolve_lindblad_detail(
     n_ions = spec.n_ions
     if n_ions > MAX_LINDBLAD_IONS:
         raise ConfigError(f"Lindblad oracle capped at N <= {MAX_LINDBLAD_IONS}")
-    if n_ions < 2:
-        raise ConfigError("oracle needs n_ions >= 2")
     ensemble = ThermalEnsemble.from_nbar(nbar)
-    unit = _unit_drive_spec(spec)
+    unit = spec.variant.unit_drive()
+    unit_schedule = unit.schedule(1.0)
     if n_cut is None:
-        n_cut = default_fock_cutoff(unit.schedule(1.0), delta, n_ions, ensemble)
+        n_cut = default_fock_cutoff(unit_schedule, delta, n_ions, ensemble)
+    if len(ensemble.weights) > n_cut + 1:
+        raise ConfigError("thermal ensemble longer than the Fock space")
     sys = _LindbladSystem(n_ions, n_cut, delta)
     rho0 = sys.initial_rho(ensemble)
 
     # events before the first drive-dependent one are identical for every
     # finite-difference scale; integrate that prefix once
-    template = _timeline(unit.schedule(1.0))
+    template = _timeline(unit_schedule)
     n_prefix = 0
     for kind, payload in template:
         if kind == "kick" and payload.beta != 0.0:
@@ -754,16 +691,11 @@ def evolve_lindblad_detail(
         }
 
     at_zero = run(0.0)
-    step = _fd_step(unit.schedule(1.0))
-    d1 = (run(step)["jy"] - run(-step)["jy"]) / (2.0 * step)
-    d2 = (run(step / 2.0)["jy"] - run(-step / 2.0)["jy"]) / step
-    slope = (4.0 * d2 - d1) / 3.0
-
     return LindbladMoments(
         jx=at_zero["jx"],
         jy=at_zero["jy"],
         jy_sq=at_zero["jy_sq"],
-        slope=slope,
+        slope=_drive_slope(lambda s: run(s)["jy"], unit_schedule),
         jpm_sym=at_zero["jpm_sym"],
         trace_error=at_zero["trace_err"],
         n_cut=n_cut,

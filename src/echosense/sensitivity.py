@@ -20,24 +20,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import (
-    ClassicalEField,
     ConfigError,
-    Custom,
-    Displacement,
     NoiseModel,
     NumericalError,
     ProtocolSpec,
-    QuantumEField,
-    ReadoutOnly,
     SensitivityReport,
+    Variant,
     db_below,
 )
+# the kernels_<protocol> closed forms are called by name (Variant.closed_form)
+# in _protocol_kernels
 from .kernels import (
     Kernels,
     kernels_classical_efield,
@@ -110,47 +107,21 @@ def gauss_hermite_rule(sigma: float, n_nodes: int = 64) -> QuadratureRule:
 
 
 def _protocol_kernels(spec: ProtocolSpec, delta: np.ndarray) -> Kernels:
-    """Unit-drive-amplitude kernels for the protocol, broadcast over delta."""
+    """Unit-drive-amplitude kernels for the protocol, broadcast over delta: the
+    variant's closed form (one of the kernel functions imported here) or, node
+    by node, the generic kernels of its unit-drive schedule."""
     v = spec.variant
-    if isinstance(v, Displacement):
-        return kernels_displacement(v.g, v.tau, delta, beta=1.0)
-    if isinstance(v, ReadoutOnly):
-        return kernels_readout(v.g, v.tau, delta, beta=1.0)
-    if isinstance(v, ClassicalEField):
-        return kernels_classical_efield(v.g, v.tau, v.T, delta, eta=1.0)
-    if isinstance(v, QuantumEField):
-        return kernels_quantum_efield(v.g, v.tau, v.T, delta, eta=1.0)
-    if isinstance(v, Custom):
-        triples = [kernels_generic(v.schedule, d) for d in np.atleast_1d(delta)]
+    if v.closed_form is None:
+        schedule = v.unit_drive().schedule(1.0)
+        triples = [kernels_generic(schedule, d) for d in np.atleast_1d(delta)]
         return Kernels(
             h=np.array([k.h for k in triples]),
             p=np.array([k.p for k in triples]),
             q=np.array([k.q for k in triples]),
-            odf_on_time=v.schedule.odf_on_time,
+            odf_on_time=schedule.odf_on_time,
         )
-    raise ConfigError(f"unknown protocol variant {type(v).__name__}")
-
-
-def _protocol_sql(spec: ProtocolSpec) -> tuple[str, float]:
-    v = spec.variant
-    if isinstance(v, (Displacement, ReadoutOnly)):
-        return ("displacement" if isinstance(v, Displacement) else "readout", 0.25)
-    if isinstance(v, ClassicalEField):
-        return "classical_efield", 1.0 / (4.0 * v.T**2)
-    if isinstance(v, QuantumEField):
-        return "quantum_efield", 1.0 / (4.0 * v.T**2)
-    # Custom: kick-only schedules estimate a displacement, drive-only schedules
-    # a constant drive strength; a mixed schedule has no canonical reference
-    has_kicks = any(k.beta != 0.0 for k in v.schedule.kicks)
-    has_drive = any(seg.eta != 0.0 for seg in v.schedule.segments)
-    if has_kicks and not has_drive:
-        return "custom", 0.25
-    if has_drive and not has_kicks:
-        return "custom", 1.0 / (4.0 * v.schedule.total_duration**2)
-    raise ConfigError(
-        "custom schedule needs exactly one drive type (kicks or continuous eta) "
-        "for a sensitivity reference"
-    )
+    args = [getattr(v, f.name) for f in fields(v) if f.name != v.drive]
+    return globals()[v.closed_form](*args, delta)
 
 
 def averaged_sensitivity(
@@ -171,12 +142,16 @@ def averaged_sensitivity(
     jy_sq_av = float(rule.weights @ jy_sq)
     slope_av = float(rule.weights @ slope)
     domain_ok = bool(np.all(in_domain[rule.weights > NEGLIGIBLE_WEIGHT]))
-    if slope_av == 0.0:
-        raise NumericalError("averaged signal slope vanished: no signal to estimate")
 
     variance = jy_sq_av * noise.excess_noise_factor**2
-    delta_sq = variance / slope_av**2
-    name, sql = _protocol_sql(spec)
+    slope_sq = slope_av**2
+    delta_sq = variance / slope_sq if slope_sq > 0.0 else math.inf
+    if not math.isfinite(delta_sq):
+        raise NumericalError(
+            f"delta_sq is not finite (averaged signal slope {slope_av:.3e}): "
+            "no usable signal to estimate"
+        )
+    sql = spec.variant.sql
     return SensitivityReport(
         variance=variance,
         slope=slope_av,
@@ -184,7 +159,7 @@ def averaged_sensitivity(
         sql=sql,
         thermal_bound=(2.0 * noise.nbar + 1.0) * sql,
         db_below_sql=db_below(sql, delta_sq),
-        protocol=name,
+        protocol=spec.variant.name,
         in_domain=domain_ok,
     )
 
@@ -333,7 +308,7 @@ class SweepRow:
     protocol: str
 
     def __post_init__(self) -> None:
-        cap = 0.5 * self.T if self.protocol.startswith("quantum") else self.T
+        cap = Variant.lookup(self.protocol).tau_cap * self.T
         if not 0.0 < self.tau_opt <= cap * (1.0 + 1e-12):
             raise ConfigError(
                 f"tau_opt={self.tau_opt} violates the {self.protocol} cap {cap}"
@@ -350,32 +325,6 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
             f"{row.db_below_sql:.12g},{row.protocol}"
         )
     return "\n".join(lines) + "\n"
-
-
-_FAMILIES = {
-    "displacement": ("displacement", 1.0),
-    "classical": ("classical", 1.0),
-    "classical_efield": ("classical", 1.0),
-    "quantum": ("quantum", 0.5),
-    "quantum_efield": ("quantum", 0.5),
-}
-
-
-def _family_objective(
-    family: str, T: float, g: float, noise: NoiseModel, rule: QuadratureRule, n_ions: int
-) -> Callable[[float], float]:
-    def objective(tau: float) -> float:
-        if family == "displacement":
-            variant: Union[Displacement, ClassicalEField, QuantumEField] = Displacement(
-                g, tau, 0.0
-            )
-        elif family == "classical":
-            variant = ClassicalEField(g, tau, T, 0.0)
-        else:
-            variant = QuantumEField(g, tau, T, 0.0)
-        return averaged_sensitivity(ProtocolSpec(variant, n_ions), noise, rule).delta_sq
-
-    return objective
 
 
 def optimize_tau(
@@ -395,24 +344,36 @@ def optimize_tau(
     A ``coarse``-point grid brackets the minimum, then golden-section search
     refines it to absolute tolerance ``tol`` seconds.  If the grid shows more
     than one local minimum a warning is emitted and the grid minimum is
-    returned unrefined.  For the quantum family tau is capped at T/2, for the
-    others at T (for "displacement", T simply bounds the scan).
+    returned unrefined.  ``family`` names a variant class (``Variant.lookup``)
+    and tau is capped at its ``tau_cap`` times T (for "displacement", T simply
+    bounds the scan).  A tau where delta_sq is not finite scores +inf; only a
+    grid without a finite point raises NumericalError.
     """
-    if family not in _FAMILIES:
-        raise ConfigError(f"unknown protocol family {family!r}")
-    name, frac = _FAMILIES[family]
+    cls = Variant.lookup(family)
+    names = {f.name for f in fields(cls)}
+    if "tau" not in names:
+        raise ConfigError(f"protocol {family!r} has no drive time tau to optimize")
+    fixed = {key: value for key, value in (("g", g), ("T", T)) if key in names}
     if not T > 0.0:
         raise ConfigError("T must be > 0")
     if coarse < 8:
         raise ConfigError("coarse grid needs at least 8 points")
-    hi = tau_max if tau_max is not None else frac * T
+    hi = tau_max if tau_max is not None else cls.tau_cap * T
     lo = tau_min if tau_min is not None else hi / 256.0
     if not 0.0 < lo < hi:
         raise ConfigError("need 0 < tau_min < tau_max")
 
-    objective = _family_objective(name, T, g, noise, rule, n_ions)
+    def objective(tau: float) -> float:
+        spec = ProtocolSpec(cls(tau=tau, **fixed), n_ions)
+        try:
+            return averaged_sensitivity(spec, noise, rule).delta_sq
+        except NumericalError:
+            return math.inf
+
     grid = np.linspace(lo, hi, coarse)
     values = np.array([objective(t) for t in grid])
+    if not np.isfinite(values).any():
+        raise NumericalError(f"delta_sq({family}) is not finite anywhere on the coarse grid")
     i_best = int(np.argmin(values))
 
     interior_minima = 0

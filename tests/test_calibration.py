@@ -27,6 +27,10 @@ class TestDataset:
         with pytest.raises(ConfigError):
             CalibrationDataset(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]))
 
+    def test_finite_values(self):
+        with pytest.raises(ConfigError):
+            CalibrationDataset(x=np.arange(3.0), y=np.array([0.0, math.nan, 1.0]))
+
     def test_positive_errors(self):
         with pytest.raises(ConfigError):
             CalibrationDataset(

@@ -87,6 +87,27 @@ class TestTableCommands:
         assert lines[0].startswith("T_s,tau_opt_quantum")
         assert len(lines) == 4
 
+    def test_efield_sweep_skips_non_finite_tau(self, tmp_path):
+        # at T = 1.718 ms the classical objective is inf at the largest
+        # coarse-grid tau; the optimum is taken among the finite points
+        code, out = run_to_file(
+            tmp_path,
+            "underflow.csv",
+            [
+                "efield-sweep",
+                "--g-hz", "4427.3", "--nbar", "7.49", "--gamma", "548.8",
+                "--sigma-hz", "13.48", "--n-ions", "44",
+                "--t-min-ms", "0.896", "--t-max-ms", "1.718", "--t-steps", "2",
+            ],
+        )
+        assert code == 0
+        rows = [
+            [float(v) for v in line.split(",")]
+            for line in out.read_text().strip().splitlines()[1:]
+        ]
+        assert len(rows) == 2
+        assert all(math.isfinite(v) for row in rows for v in row)
+
     def test_efield_sweep_json_schema(self, tmp_path):
         code, out = run_to_file(
             tmp_path,
@@ -188,6 +209,14 @@ class TestConfigHandling:
     def test_invalid_parameters_exit_2(self):
         assert main(["displacement-sweep", "--tau-min-us", "-50", "--tau-steps", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["displacement-sweep", "--tau-steps", "0"], ["efield-sweep", "--t-steps", "0"]],
+    )
+    def test_empty_grid_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_config_exit_2(self):
         assert main(["renyi", "--config", "/nonexistent.json"]) == 2
 
@@ -233,6 +262,16 @@ class TestCalibrate:
         payload = json.loads(out.read_text())
         validate(payload, "fit_result")
         assert payload["params"]["sigma"] == pytest.approx(2 * math.pi * 40.0, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x,y\n1e-4,0.1\n2e-4,abc\n", "x,y\n1e-4,0.1\n2e-4\n"],
+        ids=["non_numeric", "short_row"],
+    )
+    def test_malformed_csv_exit_2(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["calibrate", "contrast", "--data", str(path)]) == 2
 
     def test_contrast_fit_csv(self, tmp_path):
         times = np.linspace(2e-4, 8e-3, 20)

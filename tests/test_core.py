@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -24,7 +25,6 @@ from echosense.core import (
     displacement_from_beta,
     drive_force_from_displacement,
     efield_sensitivity_from_eta,
-    ground_state_length,
     noise_model_from_json,
     noise_model_to_json,
     population_up,
@@ -32,13 +32,36 @@ from echosense.core import (
     protocol_spec_to_json,
     voltage_to_displacement,
 )
+from echosense.sensitivity import SweepRow
 
 C = PhysicalConstants()
+
+VARIANTS = [
+    Displacement(2 * math.pi * 3910, 2e-4, 0.24),
+    ReadoutOnly(2 * math.pi * 3910, 2e-4, 0.1),
+    ClassicalEField(2 * math.pi * 3880, 1e-4, 5e-4, 2 * math.pi * 3.0),
+    QuantumEField(2 * math.pi * 3880, 1e-4, 5e-4, 2 * math.pi * 3.0),
+    Custom(
+        PulseSchedule(
+            segments=(Segment(1e-4, 2 * math.pi * 3910, 0.0),),
+            kicks=(Kick(0.0, 0.2),),
+        )
+    ),
+]
+
+
+def numbers(obj) -> list:
+    """Every number in a (nested) dataclass, in field order."""
+    if is_dataclass(obj):
+        return [x for f in fields(obj) for x in numbers(getattr(obj, f.name))]
+    if isinstance(obj, tuple):
+        return [x for item in obj for x in numbers(item)]
+    return [obj]
 
 
 class TestGroundStateLength:
     def test_default_value(self):
-        assert ground_state_length(C) == pytest.approx(1.878e-8, rel=1e-3)
+        assert C.z0 == pytest.approx(1.878e-8, rel=1e-3)
 
     def test_thermal_extent_cross_check(self):
         # collective-mode thermal extent z0*sqrt(2*nbar+1)/sqrt(N) for a
@@ -48,11 +71,11 @@ class TestGroundStateLength:
 
     def test_quadrupling_frequency_halves_z0(self):
         c4 = PhysicalConstants(trap_freq=4 * C.trap_freq)
-        assert ground_state_length(c4) == pytest.approx(C.z0 / 2, rel=1e-12)
+        assert c4.z0 == pytest.approx(C.z0 / 2, rel=1e-12)
 
     def test_quadrupling_mass_halves_z0(self):
         c4 = PhysicalConstants(ion_mass=4 * C.ion_mass)
-        assert ground_state_length(c4) == pytest.approx(C.z0 / 2, rel=1e-12)
+        assert c4.z0 == pytest.approx(C.z0 / 2, rel=1e-12)
 
     def test_positivity_enforced(self):
         with pytest.raises(ConfigError):
@@ -128,6 +151,9 @@ class TestNoiseModel:
             {"nbar": -0.1},
             {"gamma": -5.0},
             {"excess_noise_factor": 0.9},
+            {"sigma": math.nan},
+            {"gamma": math.inf},
+            {"nbar": math.inf},
         ],
     )
     def test_invariants(self, kwargs):
@@ -151,6 +177,33 @@ class TestProtocolSpec:
     def test_ion_count(self):
         with pytest.raises(ConfigError):
             ProtocolSpec(Displacement(1000.0, 1e-4), 0)
+
+    @pytest.mark.parametrize("n_ions", [1, 2.5, math.nan, math.inf, "150", True])
+    def test_ion_count_integer_at_least_two(self, n_ions):
+        with pytest.raises(ConfigError):
+            ProtocolSpec(Displacement(1000.0, 1e-4), n_ions)
+
+    def test_integral_ion_count_stored_as_int(self):
+        spec = ProtocolSpec(Displacement(1000.0, 1e-4), 150.0)
+        assert spec.n_ions == 150 and type(spec.n_ions) is int
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Displacement(math.nan, 1e-4),
+            lambda: ReadoutOnly(1000.0, math.inf),
+            lambda: ClassicalEField(1000.0, 1e-4, math.inf),
+            lambda: QuantumEField(1000.0, 1e-4, 5e-4, math.nan),
+            lambda: Segment(math.nan),
+            lambda: Segment(1e-4, math.inf),
+            lambda: Kick(0.0, math.nan),
+        ],
+        ids=["displacement_g", "readout_tau", "classical_T", "quantum_eta",
+             "segment_duration", "segment_g", "kick_beta"],
+    )
+    def test_non_finite_fields_rejected(self, build):
+        with pytest.raises(ConfigError):
+            build()
 
     def test_schedule_shapes(self):
         spec = ProtocolSpec(Displacement(1000.0, 1e-4, 0.3), 10)
@@ -210,31 +263,35 @@ class TestJsonInterfaces:
         assert back.sigma == pytest.approx(noise.sigma, rel=1e-12)
         assert back.nbar == noise.nbar
 
-    @pytest.mark.parametrize(
-        "variant",
-        [
-            Displacement(2 * math.pi * 3910, 2e-4, 0.24),
-            ReadoutOnly(2 * math.pi * 3910, 2e-4, 0.1),
-            ClassicalEField(2 * math.pi * 3880, 1e-4, 5e-4, 2 * math.pi * 3.0),
-            QuantumEField(2 * math.pi * 3880, 1e-4, 5e-4, 2 * math.pi * 3.0),
-            Custom(
-                PulseSchedule(
-                    segments=(Segment(1e-4, 2 * math.pi * 3910, 0.0),),
-                    kicks=(Kick(0.0, 0.2),),
-                )
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_protocol_round_trip(self, variant):
         spec = ProtocolSpec(variant, 150)
         back = protocol_spec_from_json(protocol_spec_to_json(spec))
         assert back.n_ions == 150
         assert type(back.variant) is type(variant)
-        if not isinstance(variant, Custom):
-            assert back.variant.tau == pytest.approx(variant.tau, rel=1e-12)
-            assert back.variant.g == pytest.approx(variant.g, rel=1e-12)
-        else:
-            assert back.variant.schedule.kicks == variant.schedule.kicks
+        assert numbers(back.variant) == pytest.approx(numbers(variant), rel=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_variant_contract(self, variant):
+        # schedule(s) scales every drive amplitude by s and nothing else
+        base, scaled = variant.schedule(1.0), variant.schedule(0.37)
+        assert [(s.duration, s.g) for s in scaled.segments] == [
+            (s.duration, s.g) for s in base.segments
+        ]
+        assert [s.eta for s in scaled.segments] == [0.37 * s.eta for s in base.segments]
+        assert [k.time for k in scaled.kicks] == [k.time for k in base.kicks]
+        assert [k.beta for k in scaled.kicks] == [0.37 * k.beta for k in base.kicks]
+        assert ProtocolSpec(variant, 150).schedule(0.37) == scaled
+        # SweepRow enforces the variant's own tau cap, which is also where
+        # the variant's own constructor stops accepting tau
+        T, cap = 1e-3, type(variant).tau_cap
+        SweepRow(T, cap * T, 1.0, 0.0, variant.name)
+        with pytest.raises(ConfigError):
+            SweepRow(T, 1.001 * cap * T, 1.0, 0.0, variant.name)
+        if hasattr(variant, "T"):
+            replace(variant, tau=cap * variant.T)
+            with pytest.raises(ConfigError):
+                replace(variant, tau=1.001 * cap * variant.T)
 
     def test_protocol_json_schema(self):
         jsonschema = pytest.importorskip("jsonschema")

@@ -262,3 +262,10 @@ class TestLindblad:
             evolve_lindblad_detail(
                 ProtocolSpec(Displacement(G, 1e-4, 0.0), 4), 0.0, gamma=100.0
             )
+
+    def test_ensemble_longer_than_fock_space(self):
+        # nbar = 0.3 keeps 16 Fock levels; n_cut = 8 has room for 9
+        with pytest.raises(ConfigError):
+            evolve_lindblad_detail(
+                ProtocolSpec(Displacement(G, 1e-4, 0.0), 2), 0.0, n_cut=8, nbar=0.3
+            )

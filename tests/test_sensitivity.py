@@ -134,6 +134,16 @@ class TestAveragedSensitivity:
         with pytest.raises(NumericalError):
             averaged_sensitivity(ProtocolSpec(Custom(sched), 150), QUIET, RULE0)
 
+    def test_non_finite_delta_sq_error(self):
+        # the averaged slope of a long classical readout underflows, so
+        # delta_sq = inf; it is reported as a numerical failure
+        noise = NoiseModel(sigma=2 * math.pi * 13.48, nbar=7.49, gamma=548.8)
+        rule = gauss_hermite_rule(noise.sigma, 64)
+        T = 1.718e-3
+        spec = ProtocolSpec(ClassicalEField(2 * math.pi * 4427.3, 0.95 * T, T), 44)
+        with pytest.raises(NumericalError):
+            averaged_sensitivity(spec, noise, rule)
+
     def test_custom_matches_named(self):
         tau = 2e-4
         noise = NoiseModel(sigma=2 * math.pi * 40, nbar=5.0, gamma=610.0)
