@@ -5,7 +5,8 @@ bright-fraction growth of an undriven echo sequence, depolarization-rate
 extraction from Ramsey contrast, oscillator ring-down decay, and the heating
 rate.  Fits are Levenberg-Marquardt with numerically estimated Jacobians
 (central differences, relative step 1e-6) and at most 200 residual
-evaluations; non-convergence raises NumericalError instead of returning a
+evaluations; non-convergence and a singular covariance (data that do not
+determine every parameter) raise NumericalError instead of returning a
 silent best effort.
 
 The bright-fraction model uses the closed form
@@ -167,7 +168,13 @@ def _fit(
         )
     jac = result.jac
     dof = max(len(data.y) - len(p0), 1)
-    jtj_inv = np.linalg.inv(jac.T @ jac)
+    try:
+        jtj_inv = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"fit covariance is singular: the data do not determine all of "
+            f"{', '.join(names)}"
+        ) from exc
     if data.y_err is None:
         # scale by reduced chi-square when no measurement errors were given
         jtj_inv = jtj_inv * (2.0 * result.cost / dof)

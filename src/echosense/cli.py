@@ -25,14 +25,17 @@ import numpy as np
 
 from . import calibration, entanglement
 from .core import (
+    ClassicalEField,
     ConfigError,
     Displacement,
     NoiseModel,
     NumericalError,
     PhysicalConstants,
     ProtocolSpec,
+    QuantumEField,
     TWO_PI,
     constants_from_json,
+    db_below,
     efield_sensitivity_from_eta,
 )
 from .kernels import kernels_displacement
@@ -83,6 +86,20 @@ def _write_table(
         sys.stdout.write(text)
 
 
+def _checked(key: str, value, default):
+    """A config-file value of its default's type: an int default needs an
+    integral number (stored as int), a float default a finite number."""
+    if isinstance(default, int):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is not int:  # bool is not an integer here
+            raise ConfigError(f"config value {key}={value!r} must be an integer")
+    elif isinstance(default, float):
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ConfigError(f"config value {key}={value!r} must be a finite number")
+    return value
+
+
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
@@ -90,7 +107,7 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
             file_cfg = json.load(fh)
         for key in cfg:
             if key in file_cfg:
-                cfg[key] = file_cfg[key]
+                cfg[key] = _checked(key, file_cfg[key], cfg[key])
         cfg["_file"] = file_cfg
     for key in cfg:
         value = getattr(args, key, None)
@@ -194,20 +211,21 @@ def cmd_efield_sweep(args: argparse.Namespace) -> int:
     rows = []
     for T in t_grid:
         T = float(T)
-        sql = 1.0 / (4.0 * T**2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             tau_q, dsq_q = optimize_tau("quantum", T, g, noise, rule, cfg["n_ions"])
             tau_c, dsq_c = optimize_tau("classical", T, g, noise, rule, cfg["n_ions"])
         # SweepRow validates the tau caps (<= T/2 quantum, <= T classical)
-        quantum = SweepRow(T, tau_q, dsq_q, 10 * math.log10(sql / dsq_q), "quantum_efield")
-        classical = SweepRow(T, tau_c, dsq_c, 10 * math.log10(sql / dsq_c), "classical_efield")
+        q_variant = QuantumEField(g, tau_q, T)
+        c_variant = ClassicalEField(g, tau_c, T)
+        quantum = SweepRow(T, tau_q, dsq_q, db_below(q_variant.sql, dsq_q), q_variant.name)
+        classical = SweepRow(T, tau_c, dsq_c, db_below(c_variant.sql, dsq_c), c_variant.name)
         eps = efield_sensitivity_from_eta(
             math.sqrt(quantum.delta_sq), T, constants, cfg["n_ions"]
         )
         rows.append(
             [T, quantum.tau_opt, classical.tau_opt, quantum.delta_sq,
-             classical.delta_sq, sql, eps]
+             classical.delta_sq, q_variant.sql, eps]
         )
     _write_table("efield-sweep", _public(cfg), columns, rows, args.out, args.format)
     return 0

@@ -10,25 +10,31 @@ delta, the three kernels are
 
 Instantaneous kicks enter q as delta-function contributions of eta(t).
 
-Specialized closed forms are provided for the four named protocols; the sign
+``kernels_generic`` evaluates these integrals exactly for any
+piecewise-constant schedule, as pairwise sums over segments (see its
+docstring).  The four named protocols keep hand-derived closed forms, which
+are faster and serve as an independent check of the generic engine; the sign
 convention (entangling pulse +g, readout pulse -g, see ``core.Variant``)
-fixes the sign of q.  All specialized functions broadcast over ``delta`` so a
-full quadrature grid is one call.
+fixes the sign of q.  Every kernel function broadcasts over ``delta``, so a
+full quadrature grid is one call, and a scalar ``delta`` gives scalar kernels.
 
-Numerical notes: h and q are evaluated through cancellation-free product
-forms, so they are accurate at every nonzero detuning and switch to the exact
-limit only at delta == 0.  The p kernels subtract terms that agree through
-O(delta^2), which costs ~1e-7 relative accuracy near |delta|*t ~ 1e-4 in
-double precision; below ``SERIES_THRESHOLD`` they therefore switch to a Taylor
+Numerical notes: the named h and q are evaluated through cancellation-free
+product forms.  The named p kernels subtract terms that agree through O(delta^2),
+which costs ~1e-7 relative accuracy near |delta|*t ~ 1e-4 in double
+precision; below ``SERIES_THRESHOLD`` they therefore switch to a Taylor
 series carrying two correction orders, keeping both branches below 1e-12
-relative error at the switchover.
+relative error at the switchover.  The generic engine needs a series only
+for its one cancelling helper, (x - sin x)/x^3, below |x| = 1; its sums over
+segments are accurate to a few eps times the sum of the magnitudes of their
+terms, which bounds the relative error where a kernel is a small remainder
+of larger cancelling parts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -256,132 +262,76 @@ def kernels_quantum_efield(
 # generic schedules
 # ---------------------------------------------------------------------------
 
-
-def _segment_h_increment(g: float, t0: float, d: float, delta: float) -> complex:
-    """g * integral_{t0}^{t0+d} exp(-i delta s) ds, cancellation-free."""
-    if delta == 0.0:
-        return g * d
-    x = delta * d
-    one_minus = 2.0 * math.sin(x / 2.0) ** 2 + 1.0j * math.sin(x)
-    return g * complex(math.cos(delta * t0), -math.sin(delta * t0)) * one_minus / (1.0j * delta)
+# Taylor coefficients (-1)^n/(2n+3)! of (x - sin x)/x^3, highest order first;
+# through x^14 the series is exact in double precision for |x| < 1
+_F_SERIES = [(-1) ** n / math.factorial(2 * n + 3) for n in range(7, -1, -1)]
 
 
-def _simpson_rec(
-    f: Callable[[float], float],
-    a: float,
-    m: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_rec(f, a, lm, m, fa, flm, fm, left, half, depth - 1) + _simpson_rec(
-        f, m, rm, b, fm, frm, fb, right, half, depth - 1
-    )
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """sin(x)/x, 1 at x = 0."""
+    return np.sinc(x / np.pi)
 
 
-def _adaptive_integral(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    delta: float,
-    rel_tol: float = 1e-10,
-    abs_floor: float = 1e-14,
-) -> float:
-    """Adaptive Simpson integral of f over [a, b], pre-split to resolve oscillation."""
-    if b <= a:
-        return 0.0
-    # a few panels per oscillation period; the recursion refines the rest
-    n_panels = min(8 + 4 * int(abs(delta) * (b - a) / math.pi), 16384)
-    edges = np.linspace(a, b, n_panels + 1)
-    width = edges[1] - edges[0]
-    scale = sum(abs(f(0.5 * (lo + hi))) for lo, hi in zip(edges[:-1], edges[1:])) * width
-    tol = max(abs_floor, rel_tol * scale) / n_panels
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        fa, fm, fb = f(lo), f(mid), f(hi)
-        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-        total += _simpson_rec(f, lo, mid, hi, fa, fm, fb, whole, tol, 48)
-    return total
+def _x_minus_sin_over_cube(x: np.ndarray) -> np.ndarray:
+    """(x - sin x)/x^3, by its Taylor series for |x| < 1 where the difference cancels."""
+    x2 = x * x
+    series = _F_SERIES[0]
+    for coef in _F_SERIES[1:]:
+        series = series * x2 + coef
+    small = x2 < 1.0
+    safe = np.where(small, 1.0, x)
+    return np.where(small, series, (safe - np.sin(safe)) / safe**3)
 
 
-def kernels_generic(
-    schedule: PulseSchedule, delta: float, rel_tol: float = 1e-10
-) -> Kernels:
-    """Kernels for an arbitrary piecewise-constant schedule at scalar detuning.
+def _pairs(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries coef[j, k] with j < k, and their indices j, k."""
+    j, k = np.nonzero(np.triu(coef, 1))
+    return coef[j, k], j, k
 
-    h accumulates per-segment analytic integrals.  p and q integrate their
-    analytic integrands by adaptive Simpson quadrature to ``rel_tol`` relative
-    (absolute floor 1e-14).  Kicks contribute beta*cos[delta(t_kick - s)] to
-    the inner q integrand for every later time s.
+
+def kernels_generic(schedule: PulseSchedule, delta: Scalar) -> Kernels:
+    """Kernels for an arbitrary piecewise-constant schedule, broadcast over ``delta``.
+
+    Exact closed form from pairwise sums over segments.  Segment k has length
+    L_k, midpoint c_k, couplings g_k, eta_k and A_k = L_k sinc(delta L_k/2),
+    so that its integral of exp(-i delta s) is A_k exp(-i delta c_k):
+
+        h = sum_k g_k A_k exp(-i delta c_k)
+        p = -sum_k g_k^2 delta L_k^3 f(delta L_k)
+            - sum_{j<k} g_j g_k A_j A_k sin[delta (c_k - c_j)]
+        q = sum_k g_k [eta_k A_k^2/2 + sum_{j<k} eta_j A_j A_k cos[delta (c_k - c_j)]]
+
+    with f(x) = (x - sin x)/x^3.  A kick beta at t adds beta g_k W
+    sinc(delta W/2) cos[delta (m - t)] for the part of each segment after t
+    (length W, midpoint m).  Every term is a product of sines, so delta = 0
+    needs no special case.  A scalar ``delta`` gives scalar kernels.
     """
-    delta = float(delta)
-    boundaries: list[float] = [0.0]
-    for seg in schedule.segments:
-        boundaries.append(boundaries[-1] + seg.duration)
+    d, scalar = _as_delta(delta)
+    seg = np.array([(s.duration, s.g, s.eta) for s in schedule.segments], dtype=float)
+    L, g, eta = seg.reshape(-1, 3).T
+    edges = np.concatenate(([0.0], np.cumsum(L)))
+    starts, ends = edges[:-1], edges[1:]
+    c = starts + 0.5 * L
+    dd = d[..., None]
+    A = L * _sinc(0.5 * dd * L)
 
-    # prefix values of h at segment starts
-    h_starts: list[complex] = [0.0 + 0.0j]
-    for seg, t0 in zip(schedule.segments, boundaries[:-1]):
-        h_starts.append(h_starts[-1] + _segment_h_increment(seg.g, t0, seg.duration, delta))
-    h_total = h_starts[-1]
-
-    def h_local(k: int, t: float) -> complex:
-        seg = schedule.segments[k]
-        return h_starts[k] + _segment_h_increment(seg.g, boundaries[k], t - boundaries[k], delta)
-
-    def drive_window(a: float, e: float, t: float) -> float:
-        """integral_a^e cos[delta (u - t)] du via the product form."""
-        if e <= a:
-            return 0.0
-        if delta == 0.0:
-            return e - a
-        return (
-            2.0
-            * math.cos(delta * (a + e - 2.0 * t) / 2.0)
-            * math.sin(delta * (e - a) / 2.0)
-            / delta
-        )
-
-    def inner_drive(t: float) -> float:
-        acc = 0.0
-        for seg, a, b in zip(schedule.segments, boundaries[:-1], boundaries[1:]):
-            if seg.eta != 0.0 and t > a:
-                acc += seg.eta * drive_window(a, min(b, t), t)
-        for kick in schedule.kicks:
-            if kick.beta != 0.0 and kick.time < t:
-                acc += kick.beta * math.cos(delta * (kick.time - t))
-        return acc
-
-    p_total = 0.0
-    q_total = 0.0
-    for k, (seg, a, b) in enumerate(zip(schedule.segments, boundaries[:-1], boundaries[1:])):
-        if seg.g == 0.0 or seg.duration == 0.0:
-            continue
-        g_k = seg.g
-
-        def p_integrand(t: float, k: int = k, g_k: float = g_k) -> float:
-            z = complex(math.cos(delta * t), math.sin(delta * t)) * h_local(k, t)
-            return -g_k * z.imag
-
-        def q_integrand(t: float, g_k: float = g_k) -> float:
-            return g_k * inner_drive(t)
-
-        p_total += _adaptive_integral(p_integrand, a, b, delta, rel_tol)
-        q_total += _adaptive_integral(q_integrand, a, b, delta, rel_tol)
-
-    return Kernels(h=h_total, p=p_total, q=q_total, odf_on_time=schedule.odf_on_time)
+    h = (g * A * np.exp(-1.0j * dd * c)).sum(axis=-1)
+    p = -(g**2 * dd * L**3 * _x_minus_sin_over_cube(dd * L)).sum(axis=-1)
+    q = (0.5 * g * eta * A**2).sum(axis=-1)
+    w, j, k = _pairs(np.outer(g, g))
+    p = p - (w * A[..., j] * A[..., k] * np.sin(dd * (c[k] - c[j]))).sum(axis=-1)
+    w, j, k = _pairs(np.outer(eta, g))
+    q = q + (w * A[..., j] * A[..., k] * np.cos(dd * (c[k] - c[j]))).sum(axis=-1)
+    for kick in schedule.kicks:
+        after = np.maximum(starts, kick.time)
+        W = np.maximum(ends - after, 0.0)
+        m = 0.5 * (after + ends)
+        q = q + kick.beta * (
+            g * W * _sinc(0.5 * dd * W) * np.cos(dd * (m - kick.time))
+        ).sum(axis=-1)
+    return Kernels(
+        h=_maybe_item(h, scalar),
+        p=_maybe_item(p, scalar),
+        q=_maybe_item(q, scalar),
+        odf_on_time=schedule.odf_on_time,
+    )

@@ -108,18 +108,11 @@ def gauss_hermite_rule(sigma: float, n_nodes: int = 64) -> QuadratureRule:
 
 def _protocol_kernels(spec: ProtocolSpec, delta: np.ndarray) -> Kernels:
     """Unit-drive-amplitude kernels for the protocol, broadcast over delta: the
-    variant's closed form (one of the kernel functions imported here) or, node
-    by node, the generic kernels of its unit-drive schedule."""
+    variant's closed form (one of the kernel functions imported here) or the
+    generic kernels of its unit-drive schedule."""
     v = spec.variant
     if v.closed_form is None:
-        schedule = v.unit_drive().schedule(1.0)
-        triples = [kernels_generic(schedule, d) for d in np.atleast_1d(delta)]
-        return Kernels(
-            h=np.array([k.h for k in triples]),
-            p=np.array([k.p for k in triples]),
-            q=np.array([k.q for k in triples]),
-            odf_on_time=schedule.odf_on_time,
-        )
+        return kernels_generic(v.unit_drive().schedule(1.0), delta)
     args = [getattr(v, f.name) for f in fields(v) if f.name != v.drive]
     return globals()[v.closed_form](*args, delta)
 

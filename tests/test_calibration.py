@@ -193,6 +193,12 @@ class TestHeatingRate:
     def test_per_ion_conversion(self):
         assert per_ion_heating_rate(100.0, 100) == pytest.approx(1.0)
 
+    def test_single_wait_time_singular(self):
+        # one x value cannot separate intercept from slope
+        data = CalibrationDataset(np.ones(3), np.array([0.3, 0.4, 0.5]))
+        with pytest.warns(np.exceptions.RankWarning), pytest.raises(NumericalError):
+            fit_heating_rate(data)
+
 
 class TestFitMachinery:
     def test_nonconvergence_reported(self, monkeypatch):

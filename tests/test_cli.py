@@ -220,6 +220,27 @@ class TestConfigHandling:
     def test_missing_config_exit_2(self):
         assert main(["renyi", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"tau_steps": 2.5}, {"nodes": "64"}, {"n_ions": True}, {"g_hz": float("nan")},
+         {"sigma_hz": "40"}],
+        ids=["fractional_int", "string_int", "bool_int", "nan_float", "string_float"],
+    )
+    def test_config_value_types_exit_2(self, tmp_path, entry, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert main(["displacement-sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_config_integral_float_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau_steps": 3.0, "g_hz": 3910}))
+        out = tmp_path / "d.json"
+        args = ["displacement-sweep", "--config", str(cfg), "--format", "json", "--out", str(out)]
+        assert main(args) == 0
+        params = json.loads(out.read_text())["params"]
+        assert params["tau_steps"] == 3 and isinstance(params["tau_steps"], int)
+
 
 class TestOracleCheck:
     def test_passes_at_default_tolerance(self, tmp_path):
@@ -272,6 +293,15 @@ class TestCalibrate:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         assert main(["calibrate", "contrast", "--data", str(path)]) == 2
+
+    def test_singular_covariance_exit_3(self, tmp_path, capsys):
+        # every point at the same wait time: the heating fit cannot separate
+        # nbar0 from the rate
+        path = tmp_path / "same.csv"
+        path.write_text("x,y\n1,0.3\n1,0.4\n1,0.5\n")
+        with pytest.warns(np.exceptions.RankWarning):
+            assert main(["calibrate", "heating", "--data", str(path)]) == 3
+        assert "singular" in capsys.readouterr().err
 
     def test_contrast_fit_csv(self, tmp_path):
         times = np.linspace(2e-4, 8e-3, 20)

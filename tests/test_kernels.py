@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosense.core import (
     ClassicalEField,
@@ -25,6 +28,7 @@ from echosense.kernels import (
 
 G = 2 * math.pi * 3910.0
 TAU = 200e-6
+EPS = np.finfo(float).eps
 
 
 def assert_kernels_close(ka, kb, rel=1e-9, scale_hint=1.0):
@@ -294,8 +298,8 @@ class TestKernelProperties:
         assert ke2.q == pytest.approx(3 * ke.q, rel=1e-12)
 
     def test_far_detuned_cross_check(self):
-        # many oscillation periods across the schedule; the quadrature
-        # pre-split is capped, so the recursion must carry the accuracy
+        # many oscillation periods across each segment: the generic pairwise
+        # sums must stay exact where sinc and the phase factors oscillate fast
         delta = 40.0 / TAU
         spec = ProtocolSpec(Displacement(G, TAU, 0.5), 10)
         assert_kernels_close(
@@ -312,3 +316,207 @@ class TestKernelProperties:
             assert vec.p[i] == pytest.approx(one.p, rel=1e-14, abs=1e-300)
             assert vec.q[i] == pytest.approx(one.q, rel=1e-14, abs=1e-300)
             assert abs(vec.h[i] - one.h) <= 1e-14 * (1 + abs(one.h))
+
+
+# ---------------------------------------------------------------------------
+# generic engine: independent high-precision reference and properties
+# ---------------------------------------------------------------------------
+
+
+def mp_kernels(schedule, delta):
+    """(|h|^2, p, q) of the defining integrals at 30 digits, and their condition.
+
+    h and the inner integrals of g and eta come from the antiderivative of
+    exp(-i delta u); p = -int g Im[exp(i delta s) h(s)] ds and
+    q = int g(s) K(s) ds, with K the drive accumulated up to s (segments
+    plus kicks), go through mp.quad on each segment, split at the kicks.
+    The condition of each kernel is the sum of the magnitudes of its
+    per-segment parts over the magnitude of the whole (doubled for |h|^2):
+    where parts cancel, double precision loses that factor.
+    """
+    with mp.workdps(30):
+        d = mp.mpf(delta)
+
+        def window(a, b):  # integral_a^b exp(-i d u) du
+            return b - a if d == 0 else mp.expj(-d * a) * mp.expm1(-1j * d * (b - a)) / (-1j * d)
+
+        h = e = mp.mpc(0)  # integrals of g and eta times exp(-i d u) up to a
+        a = p = q = mp.mpf(0)
+        parts = [mp.mpf(0)] * 3  # sum of |part| for h, p, q
+        for seg in schedule.segments:
+            b = a + seg.duration
+            g, eta = mp.mpf(seg.g), mp.mpf(seg.eta)
+
+            def integrand(s, a=a, h=h, e=e, g=g, eta=eta):
+                turn = mp.expj(d * s)
+                drive = mp.re(turn * (e + eta * window(a, s))) + mp.fsum(
+                    k.beta * mp.cos(d * (s - k.time)) for k in schedule.kicks if k.time < s
+                )
+                return mp.mpc(-g * mp.im(turn * (h + g * window(a, s))), g * drive)
+
+            h_part = g * window(a, b)
+            if g != 0 and b > a:
+                cuts = sorted({a, b} | {mp.mpf(k.time) for k in schedule.kicks if a < k.time < b})
+                value, err = mp.quad(integrand, cuts, method="gauss-legendre", error=True)
+                assert err <= mp.mpf(10) ** -24 * (1 + abs(value))
+                p += value.real
+                q += value.imag
+                parts[0] += abs(h_part)
+                parts[1] += abs(value.real)
+                parts[2] += abs(value.imag)
+            h += h_part
+            e += eta * window(a, b)
+            a = b
+        whole = (abs(h), abs(p), abs(q))
+        cond = [float(s / w) if w else math.inf for s, w in zip(parts, whole)]
+        cond[0] *= 2.0
+        return (float(abs(h) ** 2), float(p), float(q)), cond
+
+
+def scales(schedule):
+    """(gT)^2 for |h|^2 and p, gT times the total drive for q."""
+    gT = sum(abs(seg.g) * seg.duration for seg in schedule.segments)
+    drive = sum(abs(seg.eta) * seg.duration for seg in schedule.segments)
+    drive += sum(abs(k.beta) for k in schedule.kicks)
+    return gT**2, gT**2, gT * drive
+
+
+def values(k):
+    return k.hsq, k.p, k.q
+
+
+def assert_values_close(got, want, scale, rel, floor):
+    for name, a, b, s in zip(("hsq", "p", "q"), got, want, scale):
+        assert abs(a - b) <= rel * max(abs(a), abs(b)) + floor * s, f"{name}: {a} vs {b}"
+
+
+class TestGenericEngine:
+    # delta * T_total from 0 through 1e2, a decade apart
+    DELTA_T = [0.0] + [10.0**e for e in range(-8, 3)]
+
+    def _schedule(self, rng):
+        n = int(rng.integers(2, 7))
+        gs = [0.0 if rng.random() < 0.3 else G * rng.uniform(-1.5, 1.5) for _ in range(n)]
+        gs[int(rng.integers(n))] = G  # at least one coupled segment
+        segments = [
+            Segment(rng.uniform(20e-6, 400e-6), g, rng.uniform(-10.0, 10.0)) for g in gs
+        ]
+        total = sum(seg.duration for seg in segments)
+        return PulseSchedule(segments, (Kick(rng.uniform(0.0, total), rng.uniform(-1, 1)),))
+
+    def test_matches_mpmath_reference(self):
+        # absolute: 1e-14 of the natural scale everywhere; relative: 1e-12
+        # wherever the value is at least 1e-6 of that scale, unless the value
+        # is ill-conditioned: a small remainder of cancelling parts (cond) or
+        # of phases delta*t that one rounding of delta already moves, so that
+        # no double-precision evaluation can do better than eps*(1+dT)*cond
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            sched = self._schedule(rng)
+            T = sched.total_duration
+            scale = scales(sched)
+            vec = kernels_generic(sched, np.array(self.DELTA_T) / T)
+            for i, x in enumerate(self.DELTA_T):
+                want, cond = mp_kernels(sched, x / T)
+                got = (vec.hsq[i], vec.p[i], vec.q[i])
+                for name, a, b, s, c in zip(("hsq", "p", "q"), got, want, scale, cond):
+                    err = abs(a - b)
+                    assert err <= 1e-14 * s, f"{name} at delta*T={x}: {a} vs {b}"
+                    if abs(b) >= 1e-6 * s:
+                        rel = max(1e-12, 8 * EPS * (1 + x) * c)
+                        assert err <= rel * abs(b), f"{name} at delta*T={x}: {a} vs {b}"
+
+    def test_zero_detuning_is_exact(self):
+        sched = PulseSchedule(
+            segments=(Segment(1e-4, G, 2.0), Segment(2e-4, 0.0, 3.0), Segment(1e-4, -G, 2.0)),
+            kicks=(Kick(1.5e-4, 0.5),),
+        )
+        k = kernels_generic(sched, 0.0)
+        assert k.h == 0.0
+        assert k.p == 0.0
+        # q = sum_k g_k [eta_k L_k^2/2 + L_k sum_{j<k} eta_j L_j] + beta g W
+        want = G * 2.0 * 1e-4**2 / 2 - G * (2.0 * 1e-4**2 / 2 + 1e-4 * (2e-4 + 6e-4))
+        want += -0.5 * G * 1e-4
+        assert k.q == pytest.approx(want, rel=1e-14)
+
+
+def signed(lo, hi):
+    """Magnitudes in [lo, hi] of either sign."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(lambda t: t[0] * t[1])
+
+
+DURATIONS = st.floats(1e-6, 5e-4)
+COUPLINGS = st.one_of(st.just(0.0), signed(0.01 * G, 2.0 * G))
+DRIVES = st.one_of(st.just(0.0), signed(0.01, 10.0))
+
+
+@st.composite
+def schedules(draw):
+    segments = draw(
+        st.lists(st.builds(Segment, DURATIONS, COUPLINGS, DRIVES), min_size=1, max_size=6)
+    )
+    total = sum(seg.duration for seg in segments)
+    fractions = draw(st.lists(st.floats(0.0, 0.999), max_size=2))
+    kicks = [Kick(f * total, draw(signed(0.01, 1.0))) for f in fractions]
+    return PulseSchedule(segments, kicks)
+
+
+DELTA_T = st.floats(-30.0, 30.0)
+FLOOR = 1e-14
+
+
+class TestGenericProperties:
+    # derandomized so that the suite is deterministic
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(schedules(), DELTA_T, st.data())
+    def test_cutting_a_segment_changes_nothing(self, sched, x, data):
+        i = data.draw(st.integers(0, len(sched.segments) - 1))
+        frac = data.draw(st.floats(0.01, 0.99))
+        seg = sched.segments[i]
+        first = frac * seg.duration
+        pieces = (Segment(first, seg.g, seg.eta), Segment(seg.duration - first, seg.g, seg.eta))
+        cut = PulseSchedule(sched.segments[:i] + pieces + sched.segments[i + 1:], sched.kicks)
+        delta = x / sched.total_duration
+        whole, parts = kernels_generic(sched, delta), kernels_generic(cut, delta)
+        assert_values_close(values(parts), values(whole), scales(sched), 1e-12, FLOOR)
+        assert abs(parts.h - whole.h) <= 1e-12 * abs(whole.h) + FLOOR * scales(sched)[0] ** 0.5
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(schedules(), DELTA_T)
+    def test_parity_in_detuning(self, sched, x):
+        delta = x / sched.total_duration
+        plus, minus = kernels_generic(sched, delta), kernels_generic(sched, -delta)
+        assert_values_close(
+            (minus.hsq, -minus.p, minus.q), values(plus), scales(sched), 1e-14, FLOOR
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(schedules(), DELTA_T, st.one_of(st.just(0.0), signed(1e-3, 5.0)))
+    def test_q_linear_in_drive(self, sched, x, factor):
+        delta = x / sched.total_duration
+        base = kernels_generic(sched, delta)
+        scaled = kernels_generic(sched.scaled_drive(factor), delta)
+        assert scaled.h == base.h
+        assert scaled.p == base.p
+        q_scale = scales(sched)[2]
+        assert abs(scaled.q - factor * base.q) <= 1e-13 * abs(factor) * (abs(base.q) + q_scale)
+        # superposition: the continuous drive and the kicks add
+        drive_only = PulseSchedule(sched.segments, ())
+        kicks_only = PulseSchedule(
+            [Segment(seg.duration, seg.g) for seg in sched.segments], sched.kicks
+        )
+        parts = kernels_generic(drive_only, delta).q + kernels_generic(kicks_only, delta).q
+        assert abs(parts - base.q) <= 1e-13 * (abs(base.q) + q_scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(schedules(), st.lists(DELTA_T, min_size=1, max_size=8))
+    def test_array_matches_scalar(self, sched, xs):
+        deltas = np.array(xs) / sched.total_duration
+        vec = kernels_generic(sched, deltas)
+        assert vec.p.shape == deltas.shape
+        for i, d in enumerate(deltas):
+            one = kernels_generic(sched, float(d))
+            assert isinstance(one.p, float) and isinstance(one.h, complex)
+            assert_values_close(
+                (vec.hsq[i], vec.p[i], vec.q[i]), values(one), scales(sched), 1e-14, FLOOR
+            )
