@@ -105,6 +105,11 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for key in cfg:
             if key in file_cfg:
                 cfg[key] = _checked(key, file_cfg[key], cfg[key])
@@ -384,6 +389,19 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             "calibrate", {"kind": kind}, ["param", "value", "stderr"], rows, args.out, "csv"
         )
     return 0
+
+
+# every key some command reads: one config file may serve several commands,
+# so only a key no command knows is an error
+_CONFIG_KEYS = frozenset({"constants"}).union(
+    DISPLACEMENT_DEFAULTS,
+    EFIELD_DEFAULTS,
+    SNR_DEFAULTS,
+    RENYI_DEFAULTS,
+    WIGNER_DEFAULTS,
+    ORACLE_DEFAULTS,
+    CALIBRATE_DEFAULTS,
+)
 
 
 def _public(cfg: dict) -> dict:

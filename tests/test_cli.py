@@ -232,6 +232,23 @@ class TestConfigHandling:
         assert main(["displacement-sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "text", ["[1, 2]", '{"g_hzz": 5000}'], ids=["not_object", "unknown_key"]
+    )
+    def test_config_file_shape_exit_2(self, tmp_path, text, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["renyi", "--steps", "3", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_config_shared_between_commands(self, tmp_path):
+        # a key another command reads is not a typo
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau_steps": 3, "steps": 3}))
+        out = tmp_path / "r.csv"
+        assert main(["renyi", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 4
+
     def test_config_integral_float_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tau_steps": 3.0, "g_hz": 3910}))

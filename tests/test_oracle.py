@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from echosense.core import (
     ClassicalEField,
@@ -11,15 +12,19 @@ from echosense.core import (
     NumericalError,
     ProtocolSpec,
     QuantumEField,
+    ReadoutOnly,
 )
 from echosense.kernels import (
     kernels_classical_efield,
     kernels_displacement,
     kernels_quantum_efield,
+    kernels_readout,
 )
 from echosense.moments import deformed_transverse_invariant, moments_at_detuning
 from echosense.oracle import (
     ThermalEnsemble,
+    _drive_slope,
+    _timeline,
     damped_by_dephasing,
     driven_moments,
     evolve_exact,
@@ -29,6 +34,104 @@ from echosense.oracle import (
 )
 
 G = 2 * math.pi * 3910.0
+
+
+class _RK45Lindblad:
+    """Reference master-equation integrator: RK45 on the full 2^N x Fock
+    density matrix, with sigma_z^i dephasing at rate gamma/4 while g != 0."""
+
+    def __init__(self, n_ions: int, n_cut: int, delta: float):
+        self.n_ions = n_ions
+        dim_s = 2**n_ions
+        self.dim_b = n_cut + 1
+        self.dim = dim_s * self.dim_b
+
+        # single-spin sigma_z diagonals over the spin product basis
+        z_single = np.ones((n_ions, dim_s))
+        for i in range(n_ions):
+            for idx in range(dim_s):
+                if (idx >> (n_ions - 1 - i)) & 1:
+                    z_single[i, idx] = -1.0
+        self.jz_diag = 0.5 * z_single.sum(axis=0)
+        full_z = np.repeat(z_single, self.dim_b, axis=1)  # sigma_z^i on (s, n)
+        self.mask = np.einsum("ia,ib->ab", full_z, full_z)
+
+        a = np.diag(np.sqrt(np.arange(1.0, n_cut + 1)), 1)
+        self.num_b = a.T @ a
+        self.x_b = a + a.T
+        self.y_b = 1.0j * (a.T - a)
+        self.delta = delta
+
+        def collective(single: np.ndarray) -> np.ndarray:
+            total = np.zeros((dim_s, dim_s), dtype=complex)
+            for i in range(n_ions):
+                left, right = np.eye(2**i), np.eye(2 ** (n_ions - 1 - i))
+                total += 0.5 * np.kron(np.kron(left, single), right)
+            return total
+
+        eye_b = np.eye(self.dim_b)
+        jx_s = collective(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        jy_s = collective(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+        jp_s, jm_s = jx_s + 1.0j * jy_s, jx_s - 1.0j * jy_s
+        self.ops = {
+            "jx": np.kron(jx_s, eye_b),
+            "jy": np.kron(jy_s, eye_b),
+            "jy_sq": np.kron(jy_s @ jy_s, eye_b),
+            "jpm_sym": np.kron(0.5 * (jp_s @ jm_s + jm_s @ jp_s), eye_b),
+        }
+
+    def hamiltonian(self, g: float, eta: float) -> np.ndarray:
+        common = -self.delta * self.num_b + eta * self.y_b
+        ham = np.zeros((self.dim, self.dim), dtype=complex)
+        for s, jz in enumerate(self.jz_diag):
+            sl = slice(s * self.dim_b, (s + 1) * self.dim_b)
+            ham[sl, sl] = common + (g * jz / math.sqrt(self.n_ions)) * self.x_b
+        return ham
+
+    def kick(self, rho: np.ndarray, beta: float) -> np.ndarray:
+        lam, vec = np.linalg.eigh(self.y_b)
+        d_b = (vec * np.exp(-1.0j * beta * lam)) @ vec.conj().T
+        u = np.kron(np.eye(2**self.n_ions), d_b)
+        return u @ rho @ u.conj().T
+
+    def segment(self, rho: np.ndarray, g: float, eta: float, gamma: float, duration: float):
+        ham = self.hamiltonian(g, eta)
+
+        def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+            r = y.reshape(self.dim, self.dim)
+            out = -1.0j * (ham @ r - r @ ham)
+            if gamma > 0.0:
+                out += (gamma / 4.0) * (self.mask * r - self.n_ions * r)
+            return out.ravel()
+
+        sol = solve_ivp(rhs, (0.0, duration), rho.ravel(), method="RK45", rtol=1e-10, atol=1e-12)
+        assert sol.success, sol.message
+        return sol.y[:, -1].reshape(self.dim, self.dim)
+
+
+def _rk45_lindblad(spec, delta, n_cut, nbar, gamma) -> dict:
+    """jx, jy_sq, jpm_sym at zero drive and the Richardson drive slope, by RK45."""
+    sys = _RK45Lindblad(spec.n_ions, n_cut, delta)
+    chi = np.full(2**spec.n_ions, 2.0 ** (-spec.n_ions / 2.0))
+    rho_b = np.zeros((n_cut + 1, n_cut + 1))
+    weights = ThermalEnsemble.from_nbar(nbar).weights
+    rho_b[np.arange(len(weights)), np.arange(len(weights))] = weights
+    rho0 = np.kron(np.outer(chi, chi), rho_b).astype(complex)
+    unit = spec.variant.unit_drive()
+
+    def expect(scale: float) -> dict:
+        rho = rho0
+        for kind, payload in _timeline(unit.schedule(scale)):
+            if kind == "kick":
+                rho = sys.kick(rho, payload.beta)
+            elif payload.duration > 0.0:
+                on = gamma if payload.g != 0.0 else 0.0
+                rho = sys.segment(rho, payload.g, payload.eta, on, payload.duration)
+        return {key: float(np.trace(op @ rho).real) for key, op in sys.ops.items()}
+
+    values = expect(0.0)
+    values["slope"] = _drive_slope(lambda s: expect(s)["jy"], unit.schedule(1.0))
+    return values
 
 
 class TestThermalEnsemble:
@@ -160,6 +263,33 @@ class TestExactEvolution:
             evolve_exact(ProtocolSpec(Displacement(G, 1e-4, 0.0), 13), 0.0)
 
 
+G_E = 2 * math.pi * 3880.0
+
+# the four named protocols with their closed-form kernels at unit drive
+DAMPED_PROTOCOLS = [
+    pytest.param(
+        Displacement(G, 1.0 / G, 0.0),
+        lambda d: kernels_displacement(G, 1.0 / G, d),
+        id="displacement",
+    ),
+    pytest.param(
+        ReadoutOnly(G, 1.0 / G, 0.0),
+        lambda d: kernels_readout(G, 1.0 / G, d),
+        id="readout",
+    ),
+    pytest.param(
+        ClassicalEField(G_E, 0.8 / G_E, 2.4 / G_E, 0.0),
+        lambda d: kernels_classical_efield(G_E, 0.8 / G_E, 2.4 / G_E, d),
+        id="classical_efield",
+    ),
+    pytest.param(
+        QuantumEField(G_E, 0.6 / G_E, 1.8 / G_E, 0.0),
+        lambda d: kernels_quantum_efield(G_E, 0.6 / G_E, 1.8 / G_E, d),
+        id="quantum_efield",
+    ),
+]
+
+
 class TestLindblad:
     TAU = 1.0 / G
     SPEC = ProtocolSpec(Displacement(G, 1.0 / G, 0.0), 2)
@@ -172,11 +302,17 @@ class TestLindblad:
         assert lb.jy_sq == pytest.approx(ex.jy_sq, abs=1e-8)
         assert lb.slope == pytest.approx(ex.slope, abs=1e-8)
 
-    def test_matches_damped_closed_forms(self):
-        gamma = 0.25 / self.TAU
-        lb = evolve_lindblad_detail(self.SPEC, self.DELTA, nbar=0.0, gamma=gamma)
+    @pytest.mark.parametrize("nbar", [0.0, 0.5])
+    @pytest.mark.parametrize("n_ions", [2, 3])
+    @pytest.mark.parametrize("variant,kernels", DAMPED_PROTOCOLS)
+    def test_matches_damped_closed_forms(self, variant, kernels, n_ions, nbar):
+        gamma = 0.25 / variant.tau
+        delta = 0.1 * variant.g
+        lb = evolve_lindblad_detail(
+            ProtocolSpec(variant, n_ions), delta, nbar=nbar, gamma=gamma
+        )
         mom = moments_at_detuning(
-            kernels_displacement(G, self.TAU, self.DELTA), 2, NoiseModel(gamma=gamma)
+            kernels(delta), n_ions, NoiseModel(nbar=nbar, gamma=gamma)
         )
         assert lb.jx == pytest.approx(mom.jx_mean, rel=1e-6)
         assert lb.jy_sq == pytest.approx(mom.jy_sq, rel=1e-6)
@@ -269,3 +405,29 @@ class TestLindblad:
             evolve_lindblad_detail(
                 ProtocolSpec(Displacement(G, 1e-4, 0.0), 2), 0.0, n_cut=8, nbar=0.3
             )
+
+    @pytest.mark.parametrize(
+        "variant,n_ions,nbar,delta,gamma,n_cut",
+        [
+            pytest.param(
+                Displacement(G, 0.5 / G, 0.0), 3, 0.1, 0.15 * G, 0.8 * G, 12,
+                id="displacement-N3-thermal",
+            ),
+            pytest.param(
+                QuantumEField(G_E, 0.6 / G_E, 1.8 / G_E, 0.0), 2, 0.1, 0.1 * G_E,
+                0.25 * G_E / 0.6, 12, id="quantum_efield-N2-thermal",
+            ),
+            pytest.param(
+                ClassicalEField(G_E, 0.8 / G_E, 2.4 / G_E, 0.0), 3, 0.0, 0.1 * G_E,
+                0.3 * G_E / 0.8, 12, id="classical_efield-N3",
+            ),
+        ],
+    )
+    def test_matches_rk45_integration(self, variant, n_ions, nbar, delta, gamma, n_cut):
+        spec = ProtocolSpec(variant, n_ions)
+        lb = evolve_lindblad_detail(spec, delta, n_cut=n_cut, nbar=nbar, gamma=gamma)
+        ref = _rk45_lindblad(spec, delta, n_cut, nbar, gamma)
+        assert lb.jx == pytest.approx(ref["jx"], rel=1e-8)
+        assert lb.jy_sq == pytest.approx(ref["jy_sq"], rel=1e-8)
+        assert lb.jpm_sym == pytest.approx(ref["jpm_sym"], rel=1e-8)
+        assert lb.slope == pytest.approx(ref["slope"], rel=1e-6)
