@@ -46,6 +46,7 @@ from .sensitivity import (
     perturbative_classical_efield,
     perturbative_displacement,
     perturbative_quantum_efield,
+    sensitivity_over_tau,
     snr_single_measurement,
 )
 
@@ -89,6 +90,7 @@ __all__ = [
     "perturbative_classical_efield",
     "perturbative_displacement",
     "perturbative_quantum_efield",
+    "sensitivity_over_tau",
     "snr_single_measurement",
     "__version__",
 ]

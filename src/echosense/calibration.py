@@ -5,9 +5,9 @@ bright-fraction growth of an undriven echo sequence, depolarization-rate
 extraction from Ramsey contrast, oscillator ring-down decay, and the heating
 rate.  Fits are Levenberg-Marquardt with numerically estimated Jacobians
 (central differences, relative step 1e-6) and at most 200 residual
-evaluations; non-convergence and a singular covariance (data that do not
-determine every parameter) raise NumericalError instead of returning a
-silent best effort.
+evaluations; non-convergence, a non-finite model value anywhere during the
+fit, and a singular covariance (data that do not determine every parameter)
+raise NumericalError instead of returning a silent best effort.
 
 The bright-fraction model uses the closed form
 
@@ -152,7 +152,14 @@ def _fit(
     sigma = data.y_err if data.y_err is not None else np.ones_like(data.y)
 
     def residuals(params: np.ndarray) -> np.ndarray:
-        return (model(params, data.x) - data.y) / sigma
+        with np.errstate(all="ignore"):
+            values = model(params, data.x)
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(
+                "fit model became non-finite at "
+                + ", ".join(f"{name}={value:.6g}" for name, value in zip(names, params))
+            )
+        return (values - data.y) / sigma
 
     result = least_squares(
         residuals,

@@ -43,10 +43,10 @@ from .moments import moments_at_detuning
 from .oracle import ThermalEnsemble, evolve_exact_detail
 from .sensitivity import (
     SweepRow,
-    averaged_sensitivity,
     gauss_hermite_rule,
     optimize_tau,
     perturbative_displacement,
+    sensitivity_over_tau,
     snr_single_measurement,
 )
 
@@ -168,10 +168,11 @@ def cmd_displacement_sweep(args: argparse.Namespace) -> int:
     columns = ["tau_s", "delta_sq_exact", "delta_sq_perturbative", "sql", "db_below_sql"]
     if with_excess:
         columns.append("delta_sq_exact_excess")
+    # every tau row from one batched evaluation; the spec's own tau is replaced
+    spec = ProtocolSpec(Displacement(g, float(taus[0]), 0.0), cfg["n_ions"])
+    reports = sensitivity_over_tau(spec, taus, base_noise, rule)
     rows = []
-    for tau in taus:
-        spec = ProtocolSpec(Displacement(g, float(tau), 0.0), cfg["n_ions"])
-        report = averaged_sensitivity(spec, base_noise, rule)
+    for tau, report in zip(taus, reports):
         pert = perturbative_displacement(g, float(tau), base_noise)
         row = [float(tau), report.delta_sq, pert.total, report.sql, report.db_below_sql]
         if with_excess:

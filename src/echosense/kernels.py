@@ -17,6 +17,13 @@ are faster and serve as an independent check of the generic engine; the sign
 convention (entangling pulse +g, readout pulse -g, see ``core.Variant``)
 fixes the sign of q.  Every kernel function broadcasts over ``delta``, so a
 full quadrature grid is one call, and a scalar ``delta`` gives scalar kernels.
+The named closed forms also take a drive-time axis: ``tau`` of shape
+``(n_tau, 1)`` against ``delta`` of shape ``(n_delta,)`` gives kernels of shape
+``(n_tau, n_delta)`` and one ``odf_on_time`` per row.  Their scalar
+coefficients in tau (the powers of tau and T - tau in the p series) are
+computed per row as Python floats (``map_floats``), so row i is bitwise the
+kernels of a scalar call at ``tau[i]``; numpy's array power can differ from the
+scalar one in the last bit.
 
 Numerical notes: the named h and q are evaluated through cancellation-free
 product forms.  The named p kernels subtract terms that agree through O(delta^2),
@@ -43,6 +50,8 @@ from .core import ConfigError, PulseSchedule
 __all__ = [
     "Kernels",
     "SERIES_THRESHOLD",
+    "ZERO_DETUNING",
+    "map_floats",
     "kernels_displacement",
     "kernels_readout",
     "kernels_classical_efield",
@@ -55,6 +64,11 @@ Scalar = Union[float, np.ndarray]
 # Switch p to its series when |delta| * t_char <= this.  See module docstring.
 SERIES_THRESHOLD = 3e-3
 
+# The named closed forms take their delta = 0 values below this |delta| (rad/s),
+# where 1/delta^2 would overflow.  Those values are then exact up to a relative
+# O(delta t), or an absolute O(g delta t^2) where they vanish; p keeps its series.
+ZERO_DETUNING = 1e-100
+
 
 @dataclass(frozen=True)
 class Kernels:
@@ -63,13 +77,14 @@ class Kernels:
     h is complex and carries the spin-conditioned displacement amplitude;
     p (real) the accumulated geometric phase / squeezing; q (real) the
     effective displacement signal per the drive amplitude used to build it.
-    ``odf_on_time`` is the total time the spin-dependent coupling was on.
+    ``odf_on_time`` is the total time the spin-dependent coupling was on (a
+    column, one value per row, for kernels built on a tau axis).
     """
 
     h: Scalar
     p: Scalar
     q: Scalar
-    odf_on_time: float
+    odf_on_time: Scalar
 
     @property
     def hsq(self) -> Scalar:
@@ -77,50 +92,70 @@ class Kernels:
         return np.abs(self.h) ** 2
 
 
-def _as_delta(delta: Scalar) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(delta, dtype=float)
-    return arr, arr.ndim == 0
+def map_floats(fn, x: Scalar) -> tuple:
+    """``fn(t)``, a tuple of floats, for every entry t of ``x`` as a Python float.
+
+    A scalar ``x`` gives the tuple itself, an array a tuple of arrays of its
+    shape.  Scalar arithmetic done this way has the bits of the scalar path.
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return fn(float(arr))
+    rows = [fn(t) for t in arr.ravel().tolist()]
+    return tuple(np.array(col).reshape(arr.shape) for col in zip(*rows))
 
 
-def _maybe_item(value: np.ndarray, scalar: bool) -> Scalar:
-    return value.item() if scalar else value
+def _as_tau(tau: Scalar) -> Scalar:
+    """tau as a float, or an array (a column against a delta axis); all > 0."""
+    arr = np.asarray(tau, dtype=float)
+    if not np.all(arr > 0.0):
+        raise ConfigError("tau must be > 0")
+    return float(arr) if arr.ndim == 0 else arr
 
 
-def kernels_displacement(g: float, tau: float, delta: Scalar, beta: float = 1.0) -> Kernels:
+def _detuning(delta: Scalar) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """delta as an array, the mask where it counts as 0, and delta with 1 there."""
+    d = np.asarray(delta, dtype=float)
+    at_zero = np.abs(d) < ZERO_DETUNING
+    return d, at_zero, np.where(at_zero, 1.0, d)
+
+
+def _kernels(h: np.ndarray, p: np.ndarray, q: np.ndarray, odf_on_time: Scalar) -> Kernels:
+    """Kernels with 0-d arrays turned into Python scalars."""
+    h, p, q = (value.item() if value.ndim == 0 else value for value in (h, p, q))
+    return Kernels(h=h, p=p, q=q, odf_on_time=odf_on_time)
+
+
+def kernels_displacement(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0) -> Kernels:
     """Echo protocol (+g for tau, kick beta at tau, -g for tau), evaluated at 2*tau.
 
     |h|^2 = (16 g^2/delta^2) sin^4(delta tau/2)
     p     = (g^2/delta^2) [4 sin(delta tau) - sin(2 delta tau) - 2 delta tau]
     q     = -(beta g/delta) sin(delta tau)
     """
-    if not tau > 0.0:
-        raise ConfigError("tau must be > 0")
-    d, scalar = _as_delta(delta)
+    tau = _as_tau(tau)
+    d, at_zero, safe = _detuning(delta)
     y = d * tau
     small = np.abs(y) <= SERIES_THRESHOLD
-    safe = np.where(d == 0.0, 1.0, d)
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        sin_y = np.sin(y)
         h = np.where(
-            d == 0.0,
+            at_zero,
             0.0 + 0.0j,
             (4.0j * g / safe) * np.exp(-1.0j * y) * np.sin(y / 2.0) ** 2,
         )
-        p_direct = (g**2 / safe**2) * (4.0 * np.sin(y) - np.sin(2.0 * y) - 2.0 * y)
-        q = np.where(d == 0.0, -beta * g * tau, -(beta * g / safe) * np.sin(y))
-    p_series = (2.0 / 3.0) * g**2 * d * tau**3 * (
+        p_direct = (g**2 / safe**2) * (4.0 * sin_y - np.sin(2.0 * y) - 2.0 * y)
+        q = np.where(at_zero, -beta * g * tau, -(beta * g / safe) * sin_y)
+    (tau3,) = map_floats(lambda t: (t**3,), tau)
+    p_series = (2.0 / 3.0) * g**2 * d * tau3 * (
         1.0 - (7.0 / 20.0) * y**2 + (31.0 / 840.0) * y**4
     )
     p = np.where(small, p_series, p_direct)
-    return Kernels(
-        h=_maybe_item(h, scalar),
-        p=_maybe_item(p, scalar),
-        q=_maybe_item(q, scalar),
-        odf_on_time=2.0 * tau,
-    )
+    return _kernels(h, p, q, odf_on_time=2.0 * tau)
 
 
-def kernels_readout(g: float, tau: float, delta: Scalar, beta: float = 1.0) -> Kernels:
+def kernels_readout(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0) -> Kernels:
     """Kick beta at t=0 followed by a single readout pulse (-g, tau).
 
     Closed forms follow from the generic integrals for this schedule:
@@ -129,33 +164,28 @@ def kernels_readout(g: float, tau: float, delta: Scalar, beta: float = 1.0) -> K
     zero-detuning response is d<Jy>/dbeta = -sqrt(N) g tau exactly as for the
     echo protocol.
     """
-    if not tau > 0.0:
-        raise ConfigError("tau must be > 0")
-    d, scalar = _as_delta(delta)
+    tau = _as_tau(tau)
+    d, at_zero, safe = _detuning(delta)
     y = d * tau
     small = np.abs(y) <= SERIES_THRESHOLD
-    safe = np.where(d == 0.0, 1.0, d)
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        sin_y = np.sin(y)
         h = np.where(
-            d == 0.0,
+            at_zero,
             -g * tau + 0.0j,
             -(2.0 * g / safe) * np.exp(-1.0j * y / 2.0) * np.sin(y / 2.0),
         )
-        p_direct = (g**2 / safe**2) * (np.sin(y) - y)
-        q = np.where(d == 0.0, -beta * g * tau, -(beta * g / safe) * np.sin(y))
-    p_series = -(g**2 * d * tau**3 / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
+        p_direct = (g**2 / safe**2) * (sin_y - y)
+        q = np.where(at_zero, -beta * g * tau, -(beta * g / safe) * sin_y)
+    (tau3,) = map_floats(lambda t: (t**3,), tau)
+    p_series = -(g**2 * d * tau3 / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
     p = np.where(small, p_series, p_direct)
-    return Kernels(
-        h=_maybe_item(h, scalar),
-        p=_maybe_item(p, scalar),
-        q=_maybe_item(q, scalar),
-        odf_on_time=tau,
-    )
+    return _kernels(h, p, q, odf_on_time=tau)
 
 
 def kernels_classical_efield(
-    g: float, tau: float, T: float, delta: Scalar, eta: float = 1.0
+    g: float, tau: Scalar, T: float, delta: Scalar, eta: float = 1.0
 ) -> Kernels:
     """Constant drive for T, readout pulse (-g) during the final tau.
 
@@ -163,42 +193,46 @@ def kernels_classical_efield(
     p     = (g^2/delta^2) [sin(delta tau) - delta tau]
     q     = (eta g/delta^2) {cos(delta T) - cos[delta (T - tau)]}
     """
-    if not tau > 0.0:
-        raise ConfigError("tau must be > 0")
-    if tau > T:
+    tau = _as_tau(tau)
+    if np.any(tau > T):
         raise ConfigError("classical protocol requires tau <= T")
-    d, scalar = _as_delta(delta)
+    d, at_zero, safe = _detuning(delta)
     y = d * tau
     small = np.abs(y) <= SERIES_THRESHOLD
-    safe = np.where(d == 0.0, 1.0, d)
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        sin_half_y = np.sin(y / 2.0)
+        safe_sq = safe**2
         h = np.where(
-            d == 0.0,
+            at_zero,
             -g * tau + 0.0j,
-            -(2.0 * g / safe) * np.exp(-1.0j * d * (T - tau / 2.0)) * np.sin(y / 2.0),
+            -(2.0 * g / safe) * np.exp(-1.0j * d * (T - tau / 2.0)) * sin_half_y,
         )
-        p_direct = (g**2 / safe**2) * (np.sin(y) - y)
+        p_direct = (g**2 / safe_sq) * (np.sin(y) - y)
         # cos(dT) - cos(d(T-tau)) = -2 sin(d(2T-tau)/2) sin(d tau/2), cancellation-free
         q = np.where(
-            d == 0.0,
+            at_zero,
             -eta * g * tau * (2.0 * T - tau) / 2.0,
-            -(2.0 * eta * g / safe**2)
-            * np.sin(d * (2.0 * T - tau) / 2.0)
-            * np.sin(y / 2.0),
+            -(2.0 * eta * g / safe_sq) * np.sin(d * (2.0 * T - tau) / 2.0) * sin_half_y,
         )
-    p_series = -(g**2 * d * tau**3 / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
+    (tau3,) = map_floats(lambda t: (t**3,), tau)
+    p_series = -(g**2 * d * tau3 / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
     p = np.where(small, p_series, p_direct)
-    return Kernels(
-        h=_maybe_item(h, scalar),
-        p=_maybe_item(p, scalar),
-        q=_maybe_item(q, scalar),
-        odf_on_time=tau,
+    return _kernels(h, p, q, odf_on_time=tau)
+
+
+def _quantum_series_coefficients(tau: float, T: float) -> tuple[float, float, float]:
+    """Coefficients of delta, delta^3 and delta^5 in -p/(2 g^2) for the quantum protocol."""
+    s = T - tau
+    return (
+        tau**3 / 6.0 - tau**2 * s / 2.0,
+        -(tau**5) / 120.0 + tau**2 * s**3 / 12.0 + tau**4 * s / 24.0,
+        tau**7 / 5040.0 - tau**2 * s**5 / 240.0 - tau**4 * s**3 / 144.0 - tau**6 * s / 720.0,
     )
 
 
 def kernels_quantum_efield(
-    g: float, tau: float, T: float, delta: Scalar, eta: float = 1.0
+    g: float, tau: Scalar, T: float, delta: Scalar, eta: float = 1.0
 ) -> Kernels:
     """Constant drive for T with entangling (+g) and readout (-g) pulses of length tau.
 
@@ -207,55 +241,33 @@ def kernels_quantum_efield(
                               - 2 sin^2(delta tau/2) sin[delta (T - tau)]}
     q     = -(4 g eta/delta^2) sin(delta tau/2) sin[delta (T - tau)/2] cos(delta T/2)
     """
-    if not tau > 0.0:
-        raise ConfigError("tau must be > 0")
-    if 2.0 * tau > T:
+    tau = _as_tau(tau)
+    if np.any(2.0 * tau > T):
         raise ConfigError("quantum protocol requires 2*tau <= T")
-    d, scalar = _as_delta(delta)
+    d, at_zero, safe = _detuning(delta)
     s = T - tau
     u = d * tau
     v = d * s
     small = np.abs(d) * T <= SERIES_THRESHOLD
-    safe = np.where(d == 0.0, 1.0, d)
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        sin_half_u, sin_half_v = np.sin(u / 2.0), np.sin(v / 2.0)
+        safe_sq = safe**2
         h = np.where(
-            d == 0.0,
+            at_zero,
             0.0 + 0.0j,
-            (4.0j * g / safe)
-            * np.exp(-1.0j * d * T / 2.0)
-            * np.sin(u / 2.0)
-            * np.sin(v / 2.0),
+            (4.0j * g / safe) * np.exp(-1.0j * d * T / 2.0) * sin_half_u * sin_half_v,
         )
-        p_direct = -(2.0 * g**2 / safe**2) * (
-            u - np.sin(u) - 2.0 * np.sin(u / 2.0) ** 2 * np.sin(v)
-        )
+        p_direct = -(2.0 * g**2 / safe_sq) * (u - np.sin(u) - 2.0 * sin_half_u**2 * np.sin(v))
         q = np.where(
-            d == 0.0,
+            at_zero,
             -g * eta * tau * s,
-            -(4.0 * g * eta / safe**2)
-            * np.sin(u / 2.0)
-            * np.sin(v / 2.0)
-            * np.cos(d * T / 2.0),
+            -(4.0 * g * eta / safe_sq) * sin_half_u * sin_half_v * np.cos(d * T / 2.0),
         )
-    p_series = -2.0 * g**2 * (
-        d * (tau**3 / 6.0 - tau**2 * s / 2.0)
-        + d**3 * (-(tau**5) / 120.0 + tau**2 * s**3 / 12.0 + tau**4 * s / 24.0)
-        + d**5
-        * (
-            tau**7 / 5040.0
-            - tau**2 * s**5 / 240.0
-            - tau**4 * s**3 / 144.0
-            - tau**6 * s / 720.0
-        )
-    )
+    c1, c3, c5 = map_floats(lambda t: _quantum_series_coefficients(t, T), tau)
+    p_series = -2.0 * g**2 * (d * c1 + d**3 * c3 + d**5 * c5)
     p = np.where(small, p_series, p_direct)
-    return Kernels(
-        h=_maybe_item(h, scalar),
-        p=_maybe_item(p, scalar),
-        q=_maybe_item(q, scalar),
-        odf_on_time=2.0 * tau,
-    )
+    return _kernels(h, p, q, odf_on_time=2.0 * tau)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +318,7 @@ def kernels_generic(schedule: PulseSchedule, delta: Scalar) -> Kernels:
     (length W, midpoint m).  Every term is a product of sines, so delta = 0
     needs no special case.  A scalar ``delta`` gives scalar kernels.
     """
-    d, scalar = _as_delta(delta)
+    d = np.asarray(delta, dtype=float)
     seg = np.array([(s.duration, s.g, s.eta) for s in schedule.segments], dtype=float)
     L, g, eta = seg.reshape(-1, 3).T
     edges = np.concatenate(([0.0], np.cumsum(L)))
@@ -329,9 +341,4 @@ def kernels_generic(schedule: PulseSchedule, delta: Scalar) -> Kernels:
         q = q + kick.beta * (
             g * W * _sinc(0.5 * dd * W) * np.cos(dd * (m - kick.time))
         ).sum(axis=-1)
-    return Kernels(
-        h=_maybe_item(h, scalar),
-        p=_maybe_item(p, scalar),
-        q=_maybe_item(q, scalar),
-        odf_on_time=schedule.odf_on_time,
-    )
+    return _kernels(h, p, q, odf_on_time=schedule.odf_on_time)

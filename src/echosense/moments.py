@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from .core import ConfigError, NoiseModel
-from .kernels import Kernels
+from .kernels import Kernels, map_floats
 
 __all__ = [
     "SpinMoments",
@@ -69,6 +69,12 @@ def cos_power(x: Scalar, m: int) -> Scalar:
     return sign * np.where(c == 0.0, 0.0, mag)
 
 
+def _depolarization(gamma: float, t_odf: float) -> tuple[float, float]:
+    """Transverse decay factor e^{-gamma t/2} and its square."""
+    depol = math.exp(-gamma * t_odf / 2.0)
+    return depol, depol**2
+
+
 def moments_at_detuning(
     kernels: Kernels, n_ions: int, noise: NoiseModel, amplitude: float = 1.0
 ) -> SpinMoments:
@@ -77,7 +83,9 @@ def moments_at_detuning(
     ``amplitude`` is the drive amplitude the kernels were built with; q is
     exactly linear in it, so the returned slope is per unit perturbation.
     Kernels built at unit amplitude (the default of the kernel functions)
-    need no rescaling.
+    need no rescaling.  Kernels on a tau axis (one ``odf_on_time`` per row)
+    give moments of the same shape, row i bitwise those of row i's kernels
+    alone: the depolarization factor and its square are Python floats per row.
     """
     if n_ions < 2:
         raise ConfigError("moments need n_ions >= 2")
@@ -88,16 +96,17 @@ def moments_at_detuning(
     p = np.asarray(kernels.p, dtype=float)
     q = np.asarray(kernels.q, dtype=float) / amplitude
 
-    depol = math.exp(-noise.gamma * kernels.odf_on_time / 2.0)
+    depol, depol_sq = map_floats(lambda t: _depolarization(noise.gamma, t), kernels.odf_on_time)
     therm = np.exp(-hsq * (noise.nbar + 0.5) / n)
     coherence = depol * therm * cos_power(p / n, n_ions - 1)
 
-    jy_sq = n / 4.0 + (n * (n - 1.0) * depol**2 / 8.0) * (
-        1.0 - therm**4 * cos_power(2.0 * p / n, n_ions - 2)
+    twist = 2.0 * p / n
+    jy_sq = n / 4.0 + (n * (n - 1.0) * depol_sq / 8.0) * (
+        1.0 - therm**4 * cos_power(twist, n_ions - 2)
     )
     slope = q * math.sqrt(n) * coherence
     jx = (n / 2.0) * coherence
-    in_domain = np.abs(2.0 * p / n) < math.pi / 2.0
+    in_domain = np.abs(twist) < math.pi / 2.0
 
     scalar = np.asarray(kernels.p).ndim == 0
     if scalar:

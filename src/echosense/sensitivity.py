@@ -10,6 +10,12 @@ Averages use Gauss-Hermite quadrature rescaled to the detuning distribution;
 node evaluations are independent and summed in fixed node order, so results
 are deterministic regardless of any data-parallel execution of the nodes.
 
+Many drive times at once (``sensitivity_over_tau``, and ``optimize_tau``'s
+coarse grid) are a single batched evaluation: one call of the closed-form
+kernels and moments on a ``(n_tau, n_delta)`` grid, reduced row by row by the
+code of ``averaged_sensitivity``, so that each row is bitwise
+``averaged_sensitivity`` at its tau.
+
 The perturbative expressions keep terms through second order in the detuning
 spread sigma and lowest order in 1/N.  They are trustworthy for
 2*sigma*tau < 0.5 (flagged via ``trusted``); at longer times only the
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +56,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_hermite_rule",
     "averaged_sensitivity",
+    "sensitivity_over_tau",
     "PerturbativeSensitivity",
     "perturbative_displacement",
     "perturbative_classical_efield",
@@ -86,6 +94,11 @@ class QuadratureRule:
         if not np.allclose(nodes, -nodes[::-1], rtol=0.0, atol=1e-9 * (1.0 + np.abs(nodes).max())):
             raise ConfigError("quadrature nodes must be symmetric about 0")
 
+    @cached_property
+    def heavy(self) -> np.ndarray:
+        """Mask of the nodes heavy enough to flip the domain flag."""
+        return self.weights > NEGLIGIBLE_WEIGHT
+
 
 def gauss_hermite_rule(sigma: float, n_nodes: int = 64) -> QuadratureRule:
     """Gauss-Hermite rule rescaled to a zero-mean normal with std sigma.
@@ -106,15 +119,69 @@ def gauss_hermite_rule(sigma: float, n_nodes: int = 64) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _protocol_kernels(spec: ProtocolSpec, delta: np.ndarray) -> Kernels:
-    """Unit-drive-amplitude kernels for the protocol, broadcast over delta: the
-    variant's closed form (one of the kernel functions imported here) or the
-    generic kernels of its unit-drive schedule."""
-    v = spec.variant
-    if v.closed_form is None:
-        return kernels_generic(v.unit_drive().schedule(1.0), delta)
-    args = [getattr(v, f.name) for f in fields(v) if f.name != v.drive]
-    return globals()[v.closed_form](*args, delta)
+def _protocol_kernels(variant: Variant, delta: np.ndarray, tau=None) -> Kernels:
+    """Unit-drive-amplitude kernels for the variant, broadcast over delta: its
+    closed form (one of the kernel functions imported here) or the generic
+    kernels of its unit-drive schedule.  ``tau`` (a column) replaces the
+    variant's own drive time, giving one row of kernels per drive time."""
+    if variant.closed_form is None:
+        if tau is not None:
+            raise ConfigError(f"protocol {variant.name!r} has no drive time tau")
+        return kernels_generic(variant.unit_drive().schedule(1.0), delta)
+    args = [
+        tau if tau is not None and f.name == "tau" else getattr(variant, f.name)
+        for f in fields(variant)
+        if f.name != variant.drive
+    ]
+    return globals()[variant.closed_form](*args, delta)
+
+
+def _reduce(
+    noise: NoiseModel,
+    rule: QuadratureRule,
+    jy_sq: np.ndarray,
+    slope: np.ndarray,
+    in_domain: np.ndarray,
+) -> tuple[float, float, float, bool]:
+    """Average one drive time's node values over ``rule`` into the variance,
+    slope, delta_sq and in_domain of its report (see ``averaged_sensitivity``);
+    the one reduction behind every averaged sensitivity."""
+    jy_sq_av = float(rule.weights @ jy_sq)
+    slope_av = float(rule.weights @ slope)
+    domain_ok = bool(in_domain[rule.heavy].all())
+
+    variance = jy_sq_av * noise.excess_noise_factor**2
+    slope_sq = slope_av**2
+    delta_sq = variance / slope_sq if slope_sq > 0.0 else math.inf
+    if not math.isfinite(delta_sq):
+        raise NumericalError(
+            f"delta_sq is not finite (averaged signal slope {slope_av:.3e}): "
+            "no usable signal to estimate"
+        )
+    return variance, slope_av, delta_sq, domain_ok
+
+
+def _report(
+    variant: Variant,
+    noise: NoiseModel,
+    rule: QuadratureRule,
+    jy_sq: np.ndarray,
+    slope: np.ndarray,
+    in_domain: np.ndarray,
+) -> SensitivityReport:
+    """The report of one drive time's node values."""
+    variance, slope, delta_sq, domain_ok = _reduce(noise, rule, jy_sq, slope, in_domain)
+    sql = variant.sql
+    return SensitivityReport(
+        variance=variance,
+        slope=slope,
+        delta_sq=delta_sq,
+        sql=sql,
+        thermal_bound=(2.0 * noise.nbar + 1.0) * sql,
+        db_below_sql=db_below(sql, delta_sq),
+        protocol=variant.name,
+        in_domain=domain_ok,
+    )
 
 
 def averaged_sensitivity(
@@ -126,35 +193,49 @@ def averaged_sensitivity(
     ratio.  The excess-noise factor multiplies the noise standard deviation,
     i.e. the variance (and delta_sq) by its square.
     """
-    kernels = _protocol_kernels(spec, rule.nodes)
+    kernels = _protocol_kernels(spec.variant, rule.nodes)
     mom = moments_at_detuning(kernels, spec.n_ions, noise)
-    jy_sq = np.atleast_1d(np.asarray(mom.jy_sq, dtype=float))
-    slope = np.atleast_1d(np.asarray(mom.slope, dtype=float))
-    in_domain = np.atleast_1d(np.asarray(mom.in_domain, dtype=bool))
+    return _report(spec.variant, noise, rule, mom.jy_sq, mom.slope, mom.in_domain)
 
-    jy_sq_av = float(rule.weights @ jy_sq)
-    slope_av = float(rule.weights @ slope)
-    domain_ok = bool(np.all(in_domain[rule.weights > NEGLIGIBLE_WEIGHT]))
 
-    variance = jy_sq_av * noise.excess_noise_factor**2
-    slope_sq = slope_av**2
-    delta_sq = variance / slope_sq if slope_sq > 0.0 else math.inf
-    if not math.isfinite(delta_sq):
-        raise NumericalError(
-            f"delta_sq is not finite (averaged signal slope {slope_av:.3e}): "
-            "no usable signal to estimate"
-        )
-    sql = spec.variant.sql
-    return SensitivityReport(
-        variance=variance,
-        slope=slope_av,
-        delta_sq=delta_sq,
-        sql=sql,
-        thermal_bound=(2.0 * noise.nbar + 1.0) * sql,
-        db_below_sql=db_below(sql, delta_sq),
-        protocol=spec.variant.name,
-        in_domain=domain_ok,
-    )
+def _tau_rows(
+    spec: ProtocolSpec, taus: np.ndarray, noise: NoiseModel, rule: QuadratureRule
+) -> zip:
+    """(jy_sq, slope, in_domain) node rows, one per drive time in ``taus``,
+    from one batched closed-form evaluation."""
+    column = np.asarray(taus, dtype=float).reshape(-1, 1)
+    kernels = _protocol_kernels(spec.variant, rule.nodes, column)
+    mom = moments_at_detuning(kernels, spec.n_ions, noise)
+    return zip(mom.jy_sq, mom.slope, mom.in_domain)
+
+
+def sensitivity_over_tau(
+    spec: ProtocolSpec, taus: np.ndarray, noise: NoiseModel, rule: QuadratureRule
+) -> list[SensitivityReport]:
+    """``averaged_sensitivity`` of ``spec`` at every drive time in ``taus``.
+
+    ``spec``'s own tau is replaced by each entry of ``taus``; its other fields
+    are kept.  All drive times go through the closed forms and the moments in
+    one batched call, and report i is bitwise ``averaged_sensitivity`` at
+    ``taus[i]``.  Where that raises, this raises (at the first such tau).
+    """
+    rows = _tau_rows(spec, taus, noise, rule)
+    return [_report(spec.variant, noise, rule, *row) for row in rows]
+
+
+def _delta_sq_over_tau(
+    spec: ProtocolSpec, taus: np.ndarray, noise: NoiseModel, rule: QuadratureRule
+) -> np.ndarray:
+    """The delta_sq of ``sensitivity_over_tau`` without building reports, and
+    +inf where ``averaged_sensitivity`` raises NumericalError: the objective on
+    ``optimize_tau``'s coarse grid."""
+    values = []
+    for row in _tau_rows(spec, taus, noise, rule):
+        try:
+            values.append(_reduce(noise, rule, *row)[2])
+        except NumericalError:
+            values.append(math.inf)
+    return np.array(values)
 
 
 @dataclass(frozen=True)
@@ -335,7 +416,10 @@ def optimize_tau(
     """Minimize the full-numerics delta_sq over the admissible drive time tau.
 
     A ``coarse``-point grid brackets the minimum, then golden-section search
-    refines it to absolute tolerance ``tol`` seconds.  If the grid shows more
+    refines it to absolute tolerance ``tol`` seconds.  The grid is one batched
+    evaluation (``_delta_sq_over_tau``) whose values are bitwise those of
+    ``averaged_sensitivity`` at each grid point; the refinement calls
+    ``averaged_sensitivity`` once per step.  If the grid shows more
     than one local minimum a warning is emitted and the grid minimum is
     returned unrefined.  ``family`` names a variant class (``Variant.lookup``)
     and tau is capped at its ``tau_cap`` times T (for "displacement", T simply
@@ -364,7 +448,8 @@ def optimize_tau(
             return math.inf
 
     grid = np.linspace(lo, hi, coarse)
-    values = np.array([objective(t) for t in grid])
+    # the variant at tau_max checks the tau cap before the batched grid
+    values = _delta_sq_over_tau(ProtocolSpec(cls(tau=hi, **fixed), n_ions), grid, noise, rule)
     if not np.isfinite(values).any():
         raise NumericalError(f"delta_sq({family}) is not finite anywhere on the coarse grid")
     i_best = int(np.argmin(values))

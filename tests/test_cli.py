@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,16 @@ class TestCalibrate:
         with pytest.warns(np.exceptions.RankWarning):
             assert main(["calibrate", "heating", "--data", str(path)]) == 3
         assert "singular" in capsys.readouterr().err
+
+    def test_flat_ringdown_exit_3(self, tmp_path, capsys):
+        # flat data drive the decay rate negative until the model overflows;
+        # that used to exit 0 with a made-up kappa and numpy RuntimeWarnings
+        path = tmp_path / "flat.csv"
+        path.write_text("x,y\n" + "".join(f"{x},0.5\n" for x in range(5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", "ringdown", "--data", str(path)]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_contrast_fit_csv(self, tmp_path):
         times = np.linspace(2e-4, 8e-3, 20)

@@ -19,6 +19,7 @@ from echosense.core import (
 )
 from echosense.kernels import (
     SERIES_THRESHOLD,
+    ZERO_DETUNING,
     kernels_classical_efield,
     kernels_displacement,
     kernels_generic,
@@ -321,6 +322,56 @@ class TestKernelProperties:
 # ---------------------------------------------------------------------------
 # generic engine: independent high-precision reference and properties
 # ---------------------------------------------------------------------------
+
+
+NAMED = {
+    "displacement": (kernels_displacement, 1.0, False),
+    "readout": (kernels_readout, 1.0, False),
+    "classical_efield": (kernels_classical_efield, 1.0, True),
+    "quantum_efield": (kernels_quantum_efield, 0.5, True),
+}
+
+
+class TestTauAxis:
+    T = 1e-3
+
+    def call(self, name, tau, delta):
+        fn, _, takes_T = NAMED[name]
+        return fn(G, tau, self.T, delta) if takes_T else fn(G, tau, delta)
+
+    @pytest.mark.parametrize("name", list(NAMED))
+    def test_rows_are_scalar_calls_bitwise(self, name):
+        cap = NAMED[name][1] * self.T
+        rng = np.random.default_rng(len(name))
+        taus = np.sort(rng.uniform(1e-3, 1.0, 64)) * cap
+        # detunings on both sides of the p series switch, for every protocol
+        deltas = np.concatenate(([0.0], [-1.0, 1.0] * rng.uniform(0.1, 2.0, 2), rng.uniform(-6e3, 6e3, 8)))
+        grid = self.call(name, taus[:, None], deltas)
+        assert grid.p.shape == (64, len(deltas))
+        for i, tau in enumerate(taus):
+            one = self.call(name, float(tau), deltas)
+            for field in ("h", "p", "q"):
+                assert getattr(grid, field)[i].tobytes() == getattr(one, field).tobytes()
+            assert grid.odf_on_time[i, 0] == one.odf_on_time
+
+    @pytest.mark.parametrize("name", list(NAMED))
+    def test_checks_cover_the_whole_axis(self, name):
+        cap = NAMED[name][1] * self.T
+        with pytest.raises(ConfigError):
+            self.call(name, np.array([[0.5 * cap], [0.0]]), 100.0)
+        if NAMED[name][2]:
+            with pytest.raises(ConfigError):
+                self.call(name, np.array([[0.5 * cap], [1.01 * cap]]), 100.0)
+
+    @pytest.mark.parametrize("name", list(NAMED))
+    def test_tiny_detuning_is_the_zero_limit(self, name):
+        # 1/delta^2 overflowed below ~1e-154 rad/s and gave inf or nan kernels
+        cap = NAMED[name][1] * self.T
+        zero = self.call(name, 0.5 * cap, 0.0)
+        for delta in (1e-310, 1e-160, 0.5 * ZERO_DETUNING):
+            tiny = self.call(name, 0.5 * cap, delta)
+            assert (tiny.h, tiny.q) == (zero.h, zero.q)
+            assert abs(tiny.p) <= G**2 * self.T**3 * ZERO_DETUNING  # p keeps its series
 
 
 def mp_kernels(schedule, delta):

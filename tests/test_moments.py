@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from echosense.core import ConfigError, Displacement, NoiseModel, ProtocolSpec
+from echosense import kernels as kernel_functions
+from echosense.core import (
+    ClassicalEField,
+    ConfigError,
+    Displacement,
+    NoiseModel,
+    ProtocolSpec,
+    QuantumEField,
+    ReadoutOnly,
+)
 from echosense.kernels import Kernels, kernels_displacement
 from echosense.moments import (
     contrast,
@@ -131,6 +142,49 @@ class TestMomentsAtDetuning:
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ConfigError):
             moments_at_detuning(make_kernels(), 4, QUIET, amplitude=0.0)
+
+
+@st.composite
+def tau_axis_kernels(draw):
+    """A named closed form on a (tau column x delta) grid, with the kernels
+    of each tau alone."""
+    cls = draw(st.sampled_from([Displacement, ReadoutOnly, ClassicalEField, QuantumEField]))
+    fn = getattr(kernel_functions, cls.closed_form)
+    g = 2 * math.pi * draw(st.floats(100.0, 2e4))
+    T = draw(st.floats(1e-5, 5e-3))
+    fractions = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8))
+    deltas = np.array(draw(st.lists(st.floats(-5e4, 5e4), min_size=1, max_size=8)))
+    taus = np.array(fractions)[:, None] * cls.tau_cap * T
+
+    def build(tau):
+        return fn(g, tau, T, deltas) if cls.tau_cap != 1.0 or cls is ClassicalEField else fn(g, tau, deltas)
+
+    return build(taus), [build(float(tau)) for tau in taus[:, 0]]
+
+
+class TestTauAxisProperties:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        tau_axis_kernels(),
+        st.integers(2, 500),
+        st.floats(0.0, 10.0),
+        st.floats(0.0, 3000.0),
+    )
+    def test_bounds_and_rows(self, grid_and_rows, n_ions, nbar, gamma):
+        grid, rows = grid_and_rows
+        noise = NoiseModel(nbar=nbar, gamma=gamma)
+        mom = moments_at_detuning(grid, n_ions, noise)
+        assert mom.jy_sq.shape == (len(rows), np.size(rows[0].p))
+        assert np.all(np.abs(mom.jx_mean) <= n_ions / 2)
+        assert np.all(mom.jy_sq >= 0.0)
+        # each row is bitwise the kernels and moments of that tau alone
+        for i, kernels in enumerate(rows):
+            for name in ("h", "p", "q"):
+                assert getattr(grid, name)[i].tobytes() == getattr(kernels, name).tobytes()
+            assert grid.odf_on_time[i, 0] == kernels.odf_on_time
+            one = moments_at_detuning(kernels, n_ions, noise)
+            for name in ("jy_sq", "slope", "jx_mean", "in_domain"):
+                assert getattr(mom, name)[i].tobytes() == getattr(one, name).tobytes()
 
 
 class TestContrast:

@@ -1,9 +1,13 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from echosense import sensitivity
 from echosense.core import (
     ClassicalEField,
     ConfigError,
@@ -17,7 +21,11 @@ from echosense.core import (
     QuantumEField,
     ReadoutOnly,
     Segment,
+    Variant,
+    protocol_spec_from_json,
+    protocol_spec_to_json,
 )
+from echosense.kernels import SERIES_THRESHOLD
 from echosense.sensitivity import (
     QuadratureRule,
     SweepRow,
@@ -28,6 +36,7 @@ from echosense.sensitivity import (
     perturbative_classical_efield,
     perturbative_displacement,
     perturbative_quantum_efield,
+    sensitivity_over_tau,
     snr_single_measurement,
     sweep_to_csv,
 )
@@ -347,3 +356,173 @@ class TestSweepRows:
         assert lines[0] == "T_s,tau_opt_s,delta_sq,db_below_sql,protocol"
         assert lines[1].endswith("quantum_efield")
         assert len(lines) == 3
+
+
+def per_point(cls, fixed, n_ions, grid, noise, rule):
+    """delta_sq of one averaged_sensitivity call per tau, +inf where it raises
+    NumericalError: the coarse-grid objective before it was batched."""
+    values = []
+    for tau in grid:
+        spec = ProtocolSpec(cls(tau=tau, **fixed), n_ions)
+        try:
+            values.append(averaged_sensitivity(spec, noise, rule).delta_sq)
+        except NumericalError:
+            values.append(math.inf)
+    return np.array(values)
+
+
+def fixed_fields(cls, g, T):
+    return {"g": g, "T": T} if "T" in cls.__dataclass_fields__ else {"g": g}
+
+
+def series_branch(cls, grid, T, nodes):
+    """Per (tau, delta): does the closed form take its p series there?"""
+    if cls is QuantumEField:
+        return np.broadcast_to(np.abs(nodes) * T <= SERIES_THRESHOLD, (len(grid), len(nodes)))
+    return np.abs(np.outer(grid, nodes)) <= SERIES_THRESHOLD
+
+
+class TestTauGrid:
+    """optimize_tau's coarse grid is one batched evaluation, bitwise the per-point loop."""
+
+    FAMILIES = ("displacement", "readout", "classical", "quantum")
+
+    @pytest.mark.parametrize("nodes", [0, 32, 64], ids=["sigma0", "n32", "n64"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_optimize_tau_grid_is_bitwise_per_point(self, family, nodes, monkeypatch):
+        seen = []
+        batched = sensitivity._delta_sq_over_tau
+
+        def spy(spec, taus, noise, rule):
+            values = batched(spec, taus, noise, rule)
+            seen.append((np.array(taus), values))
+            return values
+
+        monkeypatch.setattr(sensitivity, "_delta_sq_over_tau", spy)
+        cls = Variant.lookup(family)
+        rng = np.random.default_rng([self.FAMILIES.index(family), nodes])
+        branches = set()
+        for draw in range(6):
+            # the named_sweep box; the first draw's narrow spread puts
+            # quadrature nodes on the quantum protocol's p series
+            sigma_hz = 0.5 if draw == 0 else rng.uniform(10.0, 60.0)
+            g = 2 * math.pi * rng.uniform(3000.0, 4500.0)
+            T = rng.uniform(0.2, 2.0) * 1e-3
+            n_ions = int(rng.integers(20, 301))
+            noise = NoiseModel(
+                sigma=2 * math.pi * sigma_hz, nbar=rng.uniform(0.0, 8.0),
+                gamma=rng.uniform(200.0, 800.0),
+            )
+            rule = gauss_hermite_rule(0.0 if nodes == 0 else noise.sigma, max(nodes, 2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                optimize_tau(family, T, g, noise, rule, n_ions)
+            grid, values = seen[-1]
+            assert len(grid) == 64
+            want = per_point(cls, fixed_fields(cls, g, T), n_ions, grid, noise, rule)
+            assert values.tobytes() == want.tobytes()
+            branches.update(np.unique(series_branch(cls, grid, T, rule.nodes)).tolist())
+        assert branches == ({True} if nodes == 0 else {True, False})
+
+    def test_non_finite_rows_score_inf(self):
+        # a long classical readout at small N: the averaged slope underflows
+        g, T, n_ions = 2 * math.pi * 3600.0, 1.9e-3, 24
+        noise = NoiseModel(sigma=2 * math.pi * 10.6, nbar=4.3, gamma=570.0)
+        rule = gauss_hermite_rule(noise.sigma, 64)
+        grid = np.linspace(T / 256, T, 64)
+        spec = ProtocolSpec(ClassicalEField(g, T, T), n_ions)
+        values = sensitivity._delta_sq_over_tau(spec, grid, noise, rule)
+        want = per_point(ClassicalEField, {"g": g, "T": T}, n_ions, grid, noise, rule)
+        assert np.isinf(values).sum() >= 1 and np.isfinite(values).sum() >= 1
+        assert values.tobytes() == want.tobytes()
+        # the reports raise where averaged_sensitivity raises
+        with pytest.raises(NumericalError):
+            sensitivity_over_tau(spec, grid, noise, rule)
+
+    def test_reports_equal_per_point(self):
+        noise = NoiseModel(sigma=2 * math.pi * 40, nbar=5.0, gamma=610.0, excess_noise_factor=1.18)
+        rule = gauss_hermite_rule(noise.sigma, 32)
+        taus = np.linspace(20e-6, 600e-6, 17)
+        reports = sensitivity_over_tau(ProtocolSpec(Displacement(G, 1e-4), 150), taus, noise, rule)
+        for tau, report in zip(taus, reports):
+            assert report == averaged_sensitivity(
+                ProtocolSpec(Displacement(G, float(tau)), 150), noise, rule
+            )
+
+    def test_custom_has_no_tau_axis(self):
+        sched = PulseSchedule(segments=(Segment(1e-4, G),), kicks=(Kick(0.0, 1.0),))
+        with pytest.raises(ConfigError):
+            sensitivity_over_tau(ProtocolSpec(Custom(sched), 150), [1e-4], QUIET, RULE0)
+
+    def test_non_unimodal_grid_returns_grid_minimum(self):
+        g, T, n_ions = 2 * math.pi * 3300.0, 1.9e-3, 78
+        noise = NoiseModel(sigma=2 * math.pi * 40.0, nbar=7.0, gamma=680.0)
+        rule = gauss_hermite_rule(noise.sigma, 32)
+        with pytest.warns(RuntimeWarning, match="not unimodal"):
+            tau, value = optimize_tau("classical", T, g, noise, rule, n_ions)
+        grid = np.linspace(T / 256, T, 64)
+        want = per_point(ClassicalEField, {"g": g, "T": T}, n_ions, grid, noise, rule)
+        i_best = int(np.argmin(want))
+        assert (tau, value) == (float(grid[i_best]), float(want[i_best]))
+
+    @pytest.mark.parametrize("family,cap", [("quantum", 0.5), ("classical", 1.0)])
+    def test_tau_max_above_cap(self, family, cap):
+        with pytest.raises(ConfigError):
+            optimize_tau(family, 1e-3, G, QUIET, RULE0, 150, tau_max=1.2 * cap * 1e-3)
+
+    def test_no_finite_grid_point(self):
+        # depolarization wipes out the signal at every tau
+        with pytest.raises(NumericalError, match="not finite anywhere"):
+            optimize_tau("quantum", 1e-3, G, NoiseModel(gamma=1e9), RULE0, 150)
+
+
+def signed(lo, hi):
+    """Magnitudes in [lo, hi] of either sign."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(lambda t: t[0] * t[1])
+
+
+# JSON carries frequencies in Hz, as the CLI flags do, so the round trip is
+# exact for rad/s values of the form 2*pi*Hz; an arbitrary rad/s value can
+# come back one ulp off (g / (2 pi) * (2 pi) != g), a limit of the Hz form
+RAD_PER_S = signed(1e-3, 1e6).map(lambda hz: 2 * math.pi * hz)
+TIMES = st.floats(1e-7, 1e-2)
+
+
+@st.composite
+def variants(draw):
+    cls = draw(st.sampled_from([Displacement, ReadoutOnly, ClassicalEField, QuantumEField, Custom]))
+    if cls is Custom:
+        segments = draw(st.lists(st.builds(Segment, TIMES, RAD_PER_S, RAD_PER_S), min_size=1, max_size=4))
+        total = sum(seg.duration for seg in segments)
+        fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=2))
+        kicks = [Kick(f * total, draw(signed(1e-3, 10.0))) for f in fractions]
+        return Custom(PulseSchedule(segments, kicks))
+    g = draw(RAD_PER_S)
+    if cls in (Displacement, ReadoutOnly):
+        return cls(g, draw(TIMES), draw(signed(0.0, 10.0)))
+    T = draw(TIMES)
+    return cls(g, T * draw(st.floats(1e-3, cls.tau_cap)), T, draw(RAD_PER_S))
+
+
+class TestProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.floats(100.0, 1e5),
+        st.lists(st.floats(1e-3, 30.0), min_size=1, max_size=16),
+        st.integers(2, 500),
+    )
+    def test_echo_above_cramer_rao(self, g_hz, g_taus, n_ions):
+        # sigma = nbar = Gamma = 0, all drive times as one batched column
+        g = 2 * math.pi * g_hz
+        taus = np.array(g_taus) / g
+        spec = ProtocolSpec(Displacement(g, float(taus[0])), n_ions)
+        for tau, report in zip(taus, sensitivity_over_tau(spec, taus, QUIET, RULE0)):
+            assert report.delta_sq >= bounds(2.0 * tau, 0.0, g, tau).cramer_rao_beta
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(variants(), st.integers(2, 1000))
+    def test_json_round_trip(self, variant, n_ions):
+        text = json.dumps(variant.to_json())
+        assert type(variant).from_json(json.loads(text)) == variant
+        spec = ProtocolSpec(variant, n_ions)
+        assert protocol_spec_from_json(json.loads(json.dumps(protocol_spec_to_json(spec)))) == spec
