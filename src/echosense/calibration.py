@@ -56,6 +56,14 @@ MAX_RESIDUAL_EVALS = 200
 JACOBIAN_REL_STEP = 1e-6
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class CalibrationDataset:
     """Measured points (x, y) with optional standard errors."""
@@ -85,13 +93,19 @@ class CalibrationDataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "CalibrationDataset":
-        """Read a dataset with header ``x,y`` or ``x,y,yerr``."""
+        """Read a dataset with header ``x,y`` or ``x,y,yerr``.
+
+        A first row of two numbers is data without a header, and an error:
+        reading it as the header would drop that row unnoticed."""
         xs: list[float] = []
         ys: list[float] = []
         errs: list[float] = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            has_err = len(next(reader, [])) >= 3
+            header = next(reader, [])
+            if len(header) >= 2 and all(map(_is_number, header[:2])):
+                raise ConfigError(f"{path}: missing header x,y[,yerr]; first row {header}")
+            has_err = len(header) >= 3
             for row in reader:
                 if not row:
                     continue

@@ -216,7 +216,10 @@ class PulseSchedule:
         return self.scaled_drive(drive_scale)
 
 
-# angular frequencies (rad/s) that JSON carries in Hz, under a _hz suffix
+# angular frequencies (rad/s) that JSON carries in Hz, under a _hz suffix.
+# from_json(to_json(v)) is exact when v is TWO_PI times a float, as the CLI
+# builds it from Hz; other values may come back 1 ulp off.  Carrying rad/s
+# instead would change the byte-identical JSON outputs.
 _HZ_FIELDS = ("g", "eta", "sigma", "trap_freq")
 
 
@@ -468,7 +471,8 @@ class SensitivityReport:
     ``thermal_bound`` are the matching coherent-state and thermal references
     and ``db_below_sql = 10*log10(sql/delta_sq)``.  ``in_domain`` is False when
     any quadrature node with non-negligible weight fell outside the trusted
-    domain of the closed-form moments (see moments.cos_power_guard).
+    domain of the closed-form moments (see ``moments.moments_at_detuning``
+    and the ``moments`` module docstring).
     """
 
     variance: float

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import echosense.calibration as cal
 from echosense.calibration import (
@@ -20,6 +22,8 @@ from echosense.core import ConfigError, NumericalError
 
 G = 2 * math.pi * 3910.0
 SIGMA40 = 2 * math.pi * 40.0
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestDataset:
@@ -46,6 +50,35 @@ class TestDataset:
         path2 = tmp_path / "noerr.csv"
         path2.write_text("x,y\n0.0,1.0\n1.0,0.5\n2.0,0.3\n")
         assert CalibrationDataset.from_csv(str(path2)).y_err is None
+
+    # derandomized so that the suite is deterministic; every example rewrites
+    # the same file, so the function-scoped tmp_path is safe to share
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+        st.lists(FINITE, min_size=n, max_size=n),
+        st.lists(FINITE, min_size=n, max_size=n),
+        st.none() | st.lists(POSITIVE, min_size=n, max_size=n),
+    )))
+    def test_csv_round_trip_property(self, tmp_path, columns):
+        xs, ys, errs = columns
+        header = ["x", "y"] if errs is None else ["x", "y", "yerr"]
+        rows = zip(xs, ys) if errs is None else zip(xs, ys, errs)
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+        )
+        data = CalibrationDataset.from_csv(str(path))
+        assert data.x.tobytes() == np.array(xs).tobytes()
+        assert data.y.tobytes() == np.array(ys).tobytes()
+        if errs is None:
+            assert data.y_err is None
+        else:
+            assert data.y_err.tobytes() == np.array(errs).tobytes()
 
 
 class TestPupModel:

@@ -304,8 +304,8 @@ class TestCalibrate:
 
     @pytest.mark.parametrize(
         "text",
-        ["x,y\n1e-4,0.1\n2e-4,abc\n", "x,y\n1e-4,0.1\n2e-4\n"],
-        ids=["non_numeric", "short_row"],
+        ["x,y\n1e-4,0.1\n2e-4,abc\n", "x,y\n1e-4,0.1\n2e-4\n", "1,2\n3,4\n5,6\n7,8\n"],
+        ids=["non_numeric", "short_row", "missing_header"],
     )
     def test_malformed_csv_exit_2(self, tmp_path, text):
         path = tmp_path / "bad.csv"

@@ -325,10 +325,10 @@ class TestLindblad:
         gamma = 0.3 / self.TAU
         ex = evolve_exact_detail(self.SPEC, self.DELTA)
         lb = evolve_lindblad_detail(self.SPEC, self.DELTA, nbar=0.0, gamma=gamma)
-        jx_pred, jy_sq_pred, slope_pred = damped_by_dephasing(ex, 2, gamma, 2 * self.TAU)
-        assert lb.jx == pytest.approx(jx_pred, rel=1e-6)
-        assert lb.jy_sq == pytest.approx(jy_sq_pred, rel=1e-6)
-        assert lb.slope == pytest.approx(slope_pred, rel=1e-6)
+        pred = damped_by_dephasing(ex, 2, gamma, 2 * self.TAU)
+        assert lb.jx == pytest.approx(pred.jx, rel=1e-6)
+        assert lb.jy_sq == pytest.approx(pred.jy_sq, rel=1e-6)
+        assert lb.slope == pytest.approx(pred.slope, rel=1e-6)
 
     def test_deformed_invariant(self):
         gamma = 0.4 / self.TAU
@@ -396,7 +396,7 @@ class TestLindblad:
     def test_ion_cap(self):
         with pytest.raises(ConfigError):
             evolve_lindblad_detail(
-                ProtocolSpec(Displacement(G, 1e-4, 0.0), 4), 0.0, gamma=100.0
+                ProtocolSpec(Displacement(G, 1e-4, 0.0), 13), 0.0, gamma=100.0
             )
 
     def test_ensemble_longer_than_fock_space(self):
@@ -420,6 +420,10 @@ class TestLindblad:
             pytest.param(
                 ClassicalEField(G_E, 0.8 / G_E, 2.4 / G_E, 0.0), 3, 0.0, 0.1 * G_E,
                 0.3 * G_E / 0.8, 12, id="classical_efield-N3",
+            ),
+            pytest.param(
+                Displacement(G, 0.5 / G, 0.0), 4, 0.0, 0.15 * G, 0.8 * G, 6,
+                id="displacement-N4",
             ),
         ],
     )
