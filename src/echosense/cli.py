@@ -2,8 +2,10 @@
 
 Frequencies on all flags are plain Hz (e.g. ``--g-hz 3910`` for a coupling of
 2*pi*3910 rad/s); rates like ``--gamma`` are 1/s; times carry their unit in
-the flag name.  Values may also come from a JSON config file (``--config``);
-explicit flags override file entries, which override built-in defaults.
+the flag name.  Each command's defaults dict is its whole interface: every
+key is a ``--key-with-dashes`` flag and a key of the JSON config file
+(``--config``).  Flags override file entries, which override the defaults,
+and both pass one check: finite floats, integers >= 1, listed choices.
 
 Outputs are deterministic: identical configuration produces byte-identical
 CSV or JSON.  Every JSON output validates against the schema shipped in
@@ -79,6 +81,10 @@ def _write_table(
             "rows": [list(row) for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _emit(text, out)
+
+
+def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -87,44 +93,46 @@ def _write_table(
 
 
 def _checked(key: str, value, default):
-    """A config-file value of its default's type: an int default needs an
-    integral number (stored as int), a float default a finite number."""
+    """A value of its default's type: an int default needs an integer >= 1
+    (an integral float is stored as int), a float default a finite number,
+    a str default one of its ``CHOICES``."""
     if isinstance(default, int):
         if isinstance(value, float) and value.is_integer():
             value = int(value)
-        if type(value) is not int:  # bool is not an integer here
-            raise ConfigError(f"config value {key}={value!r} must be an integer")
+        if type(value) is not int or value < 1:  # bool is not an integer here
+            raise ConfigError(f"config value {key}={value!r} must be an integer >= 1")
     elif isinstance(default, float):
         if type(value) not in (int, float) or not math.isfinite(value):
             raise ConfigError(f"config value {key}={value!r} must be a finite number")
+    elif value not in CHOICES[key]:
+        raise ConfigError(f"config value {key}={value!r} must be one of {CHOICES[key]}")
     return value
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+    """The defaults, overridden by the config file, overridden by flags."""
+    file_cfg = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for key in cfg:
-            if key in file_cfg:
-                cfg[key] = _checked(key, file_cfg[key], cfg[key])
-        cfg["_file"] = file_cfg
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    flags = {k: v for k, v in vars(args).items() if k in defaults and v is not None}
+    cfg = dict(defaults)
+    for given in (file_cfg, flags):
+        for key in defaults:
+            if key in given:
+                cfg[key] = _checked(key, given[key], defaults[key])
+    cfg["_file"] = file_cfg
     return cfg
 
 
 def _constants(cfg: dict) -> PhysicalConstants:
-    file_cfg = cfg.get("_file", {})
-    if "constants" in file_cfg:
-        return constants_from_json(file_cfg["constants"])
+    if "constants" in cfg["_file"]:
+        return constants_from_json(cfg["_file"]["constants"])
     return PhysicalConstants()
 
 
@@ -155,14 +163,11 @@ DISPLACEMENT_DEFAULTS = {
 }
 
 
-def cmd_displacement_sweep(args: argparse.Namespace) -> int:
-    cfg = _merged(args, DISPLACEMENT_DEFAULTS)
+def cmd_displacement_sweep(args: argparse.Namespace, cfg: dict) -> int:
     g = TWO_PI * cfg["g_hz"]
     noise = _noise(cfg)
     base_noise = NoiseModel(sigma=noise.sigma, nbar=noise.nbar, gamma=noise.gamma)
     rule = gauss_hermite_rule(noise.sigma, cfg["nodes"])
-    if cfg["tau_steps"] < 1:
-        raise ConfigError("tau_steps must be >= 1")
     taus = np.linspace(cfg["tau_min_us"] * 1e-6, cfg["tau_max_us"] * 1e-6, cfg["tau_steps"])
     with_excess = noise.excess_noise_factor != 1.0
     columns = ["tau_s", "delta_sq_exact", "delta_sq_perturbative", "sql", "db_below_sql"]
@@ -196,14 +201,11 @@ EFIELD_DEFAULTS = {
 }
 
 
-def cmd_efield_sweep(args: argparse.Namespace) -> int:
-    cfg = _merged(args, EFIELD_DEFAULTS)
+def cmd_efield_sweep(args: argparse.Namespace, cfg: dict) -> int:
     g = TWO_PI * cfg["g_hz"]
     noise = _noise(cfg)
     rule = gauss_hermite_rule(noise.sigma, cfg["nodes"])
     constants = _constants(cfg)
-    if cfg["t_steps"] < 1:
-        raise ConfigError("t_steps must be >= 1")
     t_grid = np.linspace(cfg["t_min_ms"] * 1e-3, cfg["t_max_ms"] * 1e-3, cfg["t_steps"])
     columns = [
         "T_s",
@@ -249,8 +251,7 @@ SNR_DEFAULTS = {
 }
 
 
-def cmd_snr(args: argparse.Namespace) -> int:
-    cfg = _merged(args, SNR_DEFAULTS)
+def cmd_snr(args: argparse.Namespace, cfg: dict) -> int:
     g = TWO_PI * cfg["g_hz"]
     tau = cfg["tau_us"] * 1e-6
     noise = _noise(cfg)
@@ -263,8 +264,7 @@ def cmd_snr(args: argparse.Namespace) -> int:
 RENYI_DEFAULTS = {"g_hz": 3910.0, "tau_us": 200.0, "steps": 101}
 
 
-def cmd_renyi(args: argparse.Namespace) -> int:
-    cfg = _merged(args, RENYI_DEFAULTS)
+def cmd_renyi(args: argparse.Namespace, cfg: dict) -> int:
     g = TWO_PI * cfg["g_hz"]
     tau = cfg["tau_us"] * 1e-6
     times = np.linspace(0.0, 2.0 * tau, cfg["steps"])
@@ -274,16 +274,16 @@ def cmd_renyi(args: argparse.Namespace) -> int:
 
 
 WIGNER_DEFAULTS = {"kind": "hybrid_plus", "g_tau": 2.0, "extent": 4.0, "points": 81}
+WIGNER_KINDS = {
+    "hybrid_plus": entanglement.wigner_hybrid_plus,
+    "reduced_boson": entanglement.wigner_reduced_boson,
+}
+# the allowed values of each str-valued defaults key
+CHOICES = {"kind": tuple(WIGNER_KINDS)}
 
 
-def cmd_wigner(args: argparse.Namespace) -> int:
-    cfg = _merged(args, WIGNER_DEFAULTS)
-    if cfg["kind"] == "hybrid_plus":
-        fn = entanglement.wigner_hybrid_plus
-    elif cfg["kind"] == "reduced_boson":
-        fn = entanglement.wigner_reduced_boson
-    else:
-        raise ConfigError(f"unknown wigner kind {cfg['kind']!r}")
+def cmd_wigner(args: argparse.Namespace, cfg: dict) -> int:
+    fn = WIGNER_KINDS[cfg["kind"]]
     grid = np.linspace(-cfg["extent"], cfg["extent"], cfg["points"])
     rows = []
     for x in grid:
@@ -305,8 +305,7 @@ ORACLE_CASES = [
 ]
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ORACLE_DEFAULTS)
+def cmd_oracle_check(args: argparse.Namespace, cfg: dict) -> int:
     g = TWO_PI * 3910.0
     columns = ["n_ions", "nbar", "delta_over_g", "g_tau", "max_rel_err", "status"]
     rows = []
@@ -339,70 +338,65 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 CALIBRATE_DEFAULTS = {
     "g_hz": 3910.0,
     "nbar": 5.0,
-    "n_ions": 150,
     "gamma_tot": 250.0,
     "tau_us": 1500.0,
+    "n_ions": 150,
 }
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _merged(args, CALIBRATE_DEFAULTS)
-    data = calibration.CalibrationDataset.from_csv(args.data)
-    kind = args.kind
-    if kind == "sigma":
-        fit = calibration.fit_sigma(
-            data,
-            g=TWO_PI * cfg["g_hz"],
-            nbar=cfg["nbar"],
-            n_ions=cfg["n_ions"],
-            gamma_tot=cfg["gamma_tot"],
-        )
-    elif kind == "contrast":
-        fit = calibration.fit_contrast(data)
-    elif kind == "ringdown":
-        fit = calibration.fit_ring_down(
-            data, gamma_tot=cfg["gamma_tot"], tau=cfg["tau_us"] * 1e-6
-        )
-    elif kind == "heating":
-        fit = calibration.fit_heating_rate(data)
-    else:
-        raise ConfigError(f"unknown calibration kind {kind!r}")
+CALIBRATIONS = {
+    "sigma": lambda data, cfg: calibration.fit_sigma(
+        data,
+        g=TWO_PI * cfg["g_hz"],
+        nbar=cfg["nbar"],
+        n_ions=cfg["n_ions"],
+        gamma_tot=cfg["gamma_tot"],
+    ),
+    "contrast": lambda data, cfg: calibration.fit_contrast(data),
+    "ringdown": lambda data, cfg: calibration.fit_ring_down(
+        data, gamma_tot=cfg["gamma_tot"], tau=cfg["tau_us"] * 1e-6
+    ),
+    "heating": lambda data, cfg: calibration.fit_heating_rate(data),
+}
 
+
+def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
+    fit = CALIBRATIONS[args.kind](calibration.CalibrationDataset.from_csv(args.data), cfg)
     errors = {name: fit.error(name) for name in fit.params}
-    if args.format == "json":
-        payload = {
-            "command": "calibrate",
-            "kind": kind,
-            "params": fit.params,
-            "errors": errors,
-            "covariance": [[float(v) for v in row] for row in fit.covariance],
-            "residual_norm": fit.residual_norm,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
+    if args.format == "csv":
         rows = [[name, fit.params[name], errors[name]] for name in fit.params]
         _write_table(
-            "calibrate", {"kind": kind}, ["param", "value", "stderr"], rows, args.out, "csv"
+            "calibrate", {"kind": args.kind}, ["param", "value", "stderr"], rows, args.out, "csv"
         )
+        return 0
+    payload = {
+        "command": "calibrate",
+        "kind": args.kind,
+        "params": fit.params,
+        "errors": errors,
+        "covariance": [[float(v) for v in row] for row in fit.covariance],
+        "residual_norm": fit.residual_norm,
+    }
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
+# name -> (handler, defaults, help); each defaults key is a flag and a config key
+COMMANDS = {
+    "displacement-sweep": (
+        cmd_displacement_sweep, DISPLACEMENT_DEFAULTS, "sensitivity vs drive time"
+    ),
+    "efield-sweep": (cmd_efield_sweep, EFIELD_DEFAULTS, "optimized drive-sensing sweep"),
+    "snr": (cmd_snr, SNR_DEFAULTS, "single-measurement SNR vs displacement"),
+    "renyi": (cmd_renyi, RENYI_DEFAULTS, "entanglement entropy along the echo"),
+    "wigner": (cmd_wigner, WIGNER_DEFAULTS, "Wigner-function grid dump"),
+    "oracle-check": (cmd_oracle_check, ORACLE_DEFAULTS, "closed forms vs brute-force simulator"),
+    "calibrate": (cmd_calibrate, CALIBRATE_DEFAULTS, "least-squares calibrations"),
+}
+
 # every key some command reads: one config file may serve several commands,
 # so only a key no command knows is an error
-_CONFIG_KEYS = frozenset({"constants"}).union(
-    DISPLACEMENT_DEFAULTS,
-    EFIELD_DEFAULTS,
-    SNR_DEFAULTS,
-    RENYI_DEFAULTS,
-    WIGNER_DEFAULTS,
-    ORACLE_DEFAULTS,
-    CALIBRATE_DEFAULTS,
-)
+_CONFIG_KEYS = frozenset({"constants"}).union(*(d for _, d, _ in COMMANDS.values()))
 
 
 def _public(cfg: dict) -> dict:
@@ -420,83 +414,31 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_opt(sub: argparse.ArgumentParser, name: str, kind=float, **kwargs) -> None:
-    sub.add_argument(name, type=kind, default=None, **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="echosense",
         description="Sensitivity theory for spin-coupled oscillator sensors",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("displacement-sweep", help="sensitivity vs drive time")
-    _add_common(p)
-    for flag in ("--g-hz", "--nbar", "--gamma", "--sigma-hz", "--excess-noise",
-                 "--tau-min-us", "--tau-max-us"):
-        _add_opt(p, flag)
-    _add_opt(p, "--n-ions", int)
-    _add_opt(p, "--nodes", int)
-    _add_opt(p, "--tau-steps", int)
-    p.set_defaults(func=cmd_displacement_sweep)
-
-    p = subs.add_parser("efield-sweep", help="optimized drive-sensing sweep")
-    _add_common(p)
-    for flag in ("--g-hz", "--nbar", "--gamma", "--sigma-hz", "--excess-noise",
-                 "--t-min-ms", "--t-max-ms"):
-        _add_opt(p, flag)
-    _add_opt(p, "--n-ions", int)
-    _add_opt(p, "--nodes", int)
-    _add_opt(p, "--t-steps", int)
-    p.set_defaults(func=cmd_efield_sweep)
-
-    p = subs.add_parser("snr", help="single-measurement SNR vs displacement")
-    _add_common(p)
-    for flag in ("--g-hz", "--tau-us", "--nbar", "--gamma", "--sigma-hz",
-                 "--excess-noise", "--beta-max"):
-        _add_opt(p, flag)
-    _add_opt(p, "--steps", int)
-    p.set_defaults(func=cmd_snr)
-
-    p = subs.add_parser("renyi", help="entanglement entropy along the echo")
-    _add_common(p)
-    _add_opt(p, "--g-hz")
-    _add_opt(p, "--tau-us")
-    _add_opt(p, "--steps", int)
-    p.set_defaults(func=cmd_renyi)
-
-    p = subs.add_parser("wigner", help="Wigner-function grid dump")
-    _add_common(p)
-    p.add_argument("--kind", choices=("hybrid_plus", "reduced_boson"), default=None)
-    _add_opt(p, "--g-tau")
-    _add_opt(p, "--extent")
-    _add_opt(p, "--points", int)
-    p.set_defaults(func=cmd_wigner)
-
-    p = subs.add_parser("oracle-check", help="closed forms vs brute-force simulator")
-    _add_common(p)
-    _add_opt(p, "--tol")
-    p.set_defaults(func=cmd_oracle_check)
-
-    p = subs.add_parser("calibrate", help="least-squares calibrations")
-    p.add_argument("kind", choices=("sigma", "contrast", "ringdown", "heating"))
-    p.add_argument("--data", required=True, help="CSV with header x,y[,yerr]")
-    _add_common(p)
-    for flag in ("--g-hz", "--nbar", "--gamma-tot", "--tau-us"):
-        _add_opt(p, flag)
-    _add_opt(p, "--n-ions", int)
-    p.set_defaults(func=cmd_calibrate)
-
+    for name, (_, defaults, help_text) in COMMANDS.items():
+        p = subs.add_parser(name, help=help_text)
+        if name == "calibrate":
+            p.add_argument("kind", choices=tuple(CALIBRATIONS))
+            p.add_argument("--data", required=True, help="CSV with header x,y[,yerr]")
+        _add_common(p)
+        for key, default in defaults.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=type(default), choices=CHOICES.get(key)
+            )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, defaults, _ = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+        return handler(args, _merged(args, defaults))
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

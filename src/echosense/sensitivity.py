@@ -258,6 +258,8 @@ def perturbative_displacement(g: float, tau: float, noise: NoiseModel) -> Pertur
     sigma^2 e^{2 G tau}/(12 g^2); spin_phonon sigma^2 tau^2 (nbar + 1/2)/2;
     spin_spin g^2 sigma^2 tau^4/9.
     """
+    if not tau > 0.0:
+        raise ConfigError("tau must be > 0")
     gam, sig, nbar = noise.gamma, noise.sigma, noise.nbar
     terms = {
         "ideal": math.exp(2.0 * gam * tau) / (4.0 * g**2 * tau**2),
@@ -277,8 +279,8 @@ def perturbative_classical_efield(
     g: float, tau: float, T: float, noise: NoiseModel
 ) -> PerturbativeSensitivity:
     """(delta eta)^2 for the classical (readout-only) drive-sensing protocol."""
-    if tau > T:
-        raise ConfigError("classical protocol requires tau <= T")
+    if not 0.0 < tau <= T:
+        raise ConfigError("classical protocol requires 0 < tau <= T")
     gam, sig, nbar = noise.gamma, noise.sigma, noise.nbar
     span = 2.0 * T - tau
     terms = {
@@ -308,8 +310,8 @@ def perturbative_quantum_efield(
     Gamma = 0, so this protocol can beat both the coherent-state and thermal
     references; the sigma^2 (2 nbar + 1)/4 term is the large-T noise floor.
     """
-    if 2.0 * tau > T:
-        raise ConfigError("quantum protocol requires 2*tau <= T")
+    if not 0.0 < 2.0 * tau <= T:
+        raise ConfigError("quantum protocol requires 0 < 2*tau <= T")
     gam, sig, nbar = noise.gamma, noise.sigma, noise.nbar
     span = T - tau
     terms = {
@@ -360,6 +362,8 @@ def snr_single_measurement(beta: float, g: float, tau: float, noise: NoiseModel)
     displacement sensitivity) with the signal-reduction term dropped.  The
     excess-noise factor divides the SNR.
     """
+    if not tau > 0.0:
+        raise ConfigError("tau must be > 0")
     gam, sig, nbar = noise.gamma, noise.sigma, noise.nbar
     depol = math.exp(-2.0 * gam * tau)
     noise_sq = 1.0 + depol * (

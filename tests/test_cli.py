@@ -1,12 +1,15 @@
 import json
 import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from echosense.calibration import pup_model
-from echosense.cli import main
+from echosense.cli import COMMANDS, _merged, build_parser, main
 from echosense.schemas import load_schema
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -258,6 +261,84 @@ class TestConfigHandling:
         assert main(args) == 0
         params = json.loads(out.read_text())["params"]
         assert params["tau_steps"] == 3 and isinstance(params["tau_steps"], int)
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["renyi", "--steps", "-1"],
+            ["renyi", "--steps", "0"],
+            ["snr", "--steps", "-1"],
+            ["wigner", "--points", "0"],
+            ["renyi", "--g-hz", "inf"],
+            ["wigner", "--g-tau", "nan"],
+            ["oracle-check", "--tol", "nan"],
+            ["snr", "--tau-us", "-5"],
+        ],
+        ids=["steps_negative", "steps_zero", "snr_steps_negative", "points_zero",
+             "g_hz_inf", "g_tau_nan", "tol_nan", "snr_tau_negative"],
+    )
+    def test_invalid_flag_values_exit_2(self, argv, capsys):
+        # flags pass the same value check as config-file entries
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command, entry",
+        [("wigner", {"kind": "bogus"}), ("renyi", {"steps": 0})],
+        ids=["bogus_kind", "zero_steps"],
+    )
+    def test_config_value_range_exit_2(self, tmp_path, command, entry, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "source", ["config_dir", "data_dir", "non_utf8_config"]
+    )
+    def test_unreadable_input_exit_2(self, tmp_path, source, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"g_hz": 3910, "note": "\xe9"}')
+        argv = {
+            "config_dir": ["renyi", "--config", str(tmp_path)],
+            "data_dir": ["calibrate", "contrast", "--data", str(tmp_path)],
+            "non_utf8_config": ["renyi", "--config", str(bad)],
+        }[source]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+class TestCommandTable:
+    @staticmethod
+    def prefix(command):
+        if command == "calibrate":
+            return ["calibrate", "contrast", "--data", "d.csv"]
+        return [command]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_default_round_trips_as_a_flag(self, command):
+        parser = build_parser()
+        _, defaults, _ = COMMANDS[command]
+        for key, default in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            args = parser.parse_args(self.prefix(command) + [flag, str(default)])
+            assert getattr(args, key) == default
+            cfg = _merged(args, defaults)
+            assert cfg[key] == default and type(cfg[key]) is type(default)
+
+    def test_readme_commands_parse(self):
+        # every example in the README's CLI block is accepted by the parser
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("echosense ")]
+        assert len(commands) >= 8
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
 
 class TestOracleCheck:

@@ -283,6 +283,18 @@ class TestPerturbative:
         with pytest.raises(ConfigError):
             perturbative_classical_efield(G, 2e-3, 1e-3, QUIET)
 
+    @pytest.mark.parametrize("tau", [0.0, -1e-4, float("nan")])
+    def test_nonpositive_tau_rejected(self, tau):
+        noise = NoiseModel(sigma=2 * math.pi * 40, nbar=5.0, gamma=610.0)
+        with pytest.raises(ConfigError):
+            perturbative_displacement(G, tau, noise)
+        with pytest.raises(ConfigError):
+            perturbative_classical_efield(G, tau, 1e-3, noise)
+        with pytest.raises(ConfigError):
+            perturbative_quantum_efield(G, tau, 1e-3, noise)
+        with pytest.raises(ConfigError):
+            snr_single_measurement(0.1, G, tau, noise)
+
 
 class TestBounds:
     def test_reference_values(self):
