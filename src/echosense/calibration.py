@@ -310,7 +310,10 @@ def gamma_el_from_gamma_tot(gamma_tot: float) -> float:
 
 def ring_down_model(theta_max, gamma_tot: float, tau: float):
     """Bright fraction for a randomly phased coherent excitation of angle theta_max:
-    (1/2)[1 - e^{-2 Gamma_tot tau} cos(theta_max)], a small-angle approximation."""
+    (1/2)[1 - e^{-2 Gamma_tot tau} cos(theta_max)], a small-angle approximation.
+    The readout time ``tau`` must be finite and > 0."""
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"readout time tau must be finite and > 0, not {tau!r}")
     theta_max = np.asarray(theta_max, dtype=float)
     out = 0.5 * (1.0 - math.exp(-2.0 * gamma_tot * tau) * np.cos(theta_max))
     return float(out) if out.ndim == 0 else out
@@ -327,7 +330,8 @@ def fit_ring_down(
 
     The excitation angle is proportional to the oscillation amplitude, so an
     exponential amplitude decay Zc(t) = Zc(0) e^{-kappa t} enters the signal
-    as theta(t) = theta0 e^{-kappa t}.
+    as theta(t) = theta0 e^{-kappa t}.  A non-finite or non-positive ``tau``
+    raises ConfigError from the model's first evaluation.
     """
 
     def model(params: np.ndarray, x: np.ndarray) -> np.ndarray:

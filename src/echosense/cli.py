@@ -306,6 +306,8 @@ ORACLE_CASES = [
 
 
 def cmd_oracle_check(args: argparse.Namespace, cfg: dict) -> int:
+    if not cfg["tol"] > 0.0:
+        raise ConfigError(f"tol must be > 0, not {cfg['tol']!r}")
     g = TWO_PI * 3910.0
     columns = ["n_ions", "nbar", "delta_over_g", "g_tau", "max_rel_err", "status"]
     rows = []

@@ -9,8 +9,14 @@ sector suffices for Hamiltonian evolution because the initial state is
 permutation symmetric and every coupling is collective, so ``evolve_exact``
 works on the (N+1)-dimensional ladder; per Jz eigenvalue the boson factor is a
 driven oscillator, evolved by exponentiating the truncated block Hamiltonian
-(Hermitian eigendecomposition, no Trotterization).  Kicks apply the
-displacement unitary exp(beta (a^dag - a)).
+(numerical eigendecomposition, no Trotterization).  That Hamiltonian is
+tridiagonal in the Fock basis, and a diagonal phase gauge makes it real
+symmetric tridiagonal, so ``scipy.linalg.eigh_tridiagonal`` (MRRR) solves it
+and the propagation runs in real matmuls.  Kicks apply the real displacement
+unitary exp(beta (a^dag - a)), built from the gauged eigenpairs of a + a^dag.
+Parity (-1)^n maps the +m block at drive scale s onto the -m block at -s, so
+the drive-free run propagates only the m >= 0 blocks and each slope scale
+gives its negative for free.
 
 ``evolve_lindblad`` solves the master equation with single-spin dephasing
 jumps sigma_z^i at rate Gamma/4 while the spin-dependent drive is on.  It
@@ -38,10 +44,12 @@ Lindblad runs keep the norm check and skip the leakage one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .core import ConfigError, NumericalError, ProtocolSpec, PulseSchedule, Segment
 from .moments import SpinMoments
@@ -79,8 +87,8 @@ class ThermalEnsemble:
 
     @classmethod
     def from_nbar(cls, nbar: float, tail_tol: float = 1e-10) -> "ThermalEnsemble":
-        if nbar < 0.0:
-            raise ConfigError("nbar must be >= 0")
+        if not (math.isfinite(nbar) and nbar >= 0.0):
+            raise ConfigError(f"nbar must be finite and >= 0, not {nbar!r}")
         if nbar == 0.0:
             return cls(weights=np.array([1.0]), nbar=0.0, tail_mass=0.0)
         ratio = nbar / (nbar + 1.0)
@@ -285,53 +293,67 @@ def _drive_slope(jy_at: Callable[[float], float], unit_schedule: PulseSchedule) 
 # ---------------------------------------------------------------------------
 
 
-def _boson_ops(n_cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fock numbers 0..n_cut, x = a + a^dag and the Hermitian y = i(a^dag - a)."""
-    n = np.arange(n_cut + 1, dtype=float)
-    a = np.diag(np.sqrt(n[1:]), 1)
-    y = np.zeros((n_cut + 1, n_cut + 1), dtype=complex)
-    y.imag = a.T - a
-    return n, a + a.T, y
+def _real_matmul(real: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``real @ z`` for a real matrix and C-contiguous complex columns, as one
+    real matmul on the interleaved (re, im) view."""
+    return (real @ z.view(float)).view(complex)
 
 
 class _BlockCache:
-    """Eigendecompositions of the per-block Hamiltonians, shared within a run."""
+    """Real eigenpairs of the gauged block Hamiltonians, shared within a run.
+
+    The block Hamiltonian -delta n + c x + eta y has the off-diagonal
+    sqrt(k) (c - i eta) = sqrt(k) r e^{-i phi}.  With D = diag(e^{i k phi}) it
+    is D T D^H, T real symmetric tridiagonal with diagonal -delta k and
+    off-diagonal r sqrt(k), so the eigenpairs of T depend on r alone and
+    serve the +m and -m blocks of a segment alike.
+    """
 
     def __init__(self, delta: float, n_cut: int):
-        self.number, self.x_op, self.y_op = _boson_ops(n_cut)
+        self.levels = np.arange(n_cut + 1)
+        self.sqrt_k = np.sqrt(self.levels[1:].astype(float))
         self.delta = delta
-        self._eigs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._eigs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._kicks: dict[float, np.ndarray] = {}
-        self._y_eig: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._x_eig: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    def block_eig(self, coupling: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-        key = (coupling, eta)
-        if key not in self._eigs:
-            ham = -self.delta * np.diag(self.number).astype(complex)
-            ham += coupling * self.x_op
-            if eta != 0.0:
-                ham += eta * self.y_op
-            lam, vec = np.linalg.eigh(ham)
-            self._eigs[key] = (lam, vec)
-        return self._eigs[key]
+    def eig(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        if r not in self._eigs:
+            self._eigs[r] = eigh_tridiagonal(-self.delta * self.levels, r * self.sqrt_k)
+        return self._eigs[r]
 
     def kick(self, beta: float) -> np.ndarray:
+        """The real matrix exp(beta (a^dag - a)) = D exp(-i beta x) D^H, D = diag(i^k).
+
+        With exp(-i beta x) = A - iB (A, B real, from the eigenpairs of x), the
+        (j, k) element is A, B, -A, -B for j - k = 0, 1, 2, 3 (mod 4).
+        """
         if beta not in self._kicks:
-            if self._y_eig is None:
-                self._y_eig = np.linalg.eigh(self.y_op)
-            lam, vec = self._y_eig
-            self._kicks[beta] = (vec * np.exp(-1.0j * beta * lam)) @ vec.conj().T
+            if self._x_eig is None:
+                self._x_eig = eigh_tridiagonal(np.zeros(len(self.levels)), self.sqrt_k)
+            mu, vec = self._x_eig
+            cos_part = (vec * np.cos(beta * mu)) @ vec.T
+            sin_part = (vec * np.sin(beta * mu)) @ vec.T
+            quarter = np.subtract.outer(self.levels, self.levels) % 4
+            op = np.where(quarter % 2 == 0, cos_part, sin_part)
+            self._kicks[beta] = np.where(quarter < 2, op, -op)
         return self._kicks[beta]
 
 
 class _ExactRun:
     """Validated setup shared by the exact-oracle entry points.
 
-    Checks the ion cap; defaults the ensemble to the vacuum, the propagated
-    boson columns e_0..e_{n_comp-1} to the ensemble length, and the Fock
-    cutoff to ``default_fock_cutoff`` of ``sizing`` plus one level per column
-    beyond the ensemble.  Holds the coherent spin state, the ladder operators
-    and the block eigendecompositions.
+    Checks the detuning, the Fock cutoff and the ion cap; defaults the
+    ensemble to the vacuum, the propagated boson columns e_0..e_{n_comp-1} to
+    the ensemble length, and the Fock cutoff to ``default_fock_cutoff`` of
+    ``sizing`` plus one level per column beyond the ensemble.  Holds the
+    coherent spin state, the ladder operators and the block eigenpairs.
+
+    Parity P = diag((-1)^n) maps x and y to -x and -y, so
+    P H_m(s) P = H_{-m}(-s) at drive scale s, and kicks follow the same rule.
+    The columns e_n are parity eigenstates, so
+    B_{-m}(-s) = P B_m(s) diag((-1)^n) exactly: ``mirror`` and ``unfold``
+    give the -m blocks of a run without propagating them.
     """
 
     def __init__(
@@ -347,11 +369,16 @@ class _ExactRun:
         n_ions = spec.n_ions
         if n_ions > MAX_HAMILTONIAN_IONS:
             raise ConfigError(f"exact oracle capped at N <= {MAX_HAMILTONIAN_IONS}")
+        if not math.isfinite(delta):
+            raise ConfigError(f"detuning must be finite, not {delta!r}")
         ensemble = initial if initial is not None else ThermalEnsemble.from_nbar(0.0)
         n_comp = n_comp if n_comp is not None else len(ensemble.weights)
         if n_cut is None:
             n_cut = default_fock_cutoff(sizing, delta, n_ions, ensemble)
             n_cut += n_comp - len(ensemble.weights)
+        elif not (isinstance(n_cut, numbers.Real) and float(n_cut).is_integer()):
+            raise ConfigError(f"n_cut must be an integer, not {n_cut!r}")
+        n_cut = int(n_cut)
         if n_comp > n_cut:
             raise ConfigError("initial Fock levels exceed the Fock cutoff")
         self.n_ions = n_ions
@@ -363,35 +390,54 @@ class _ExactRun:
         self.ops = _ladder_ops(n_ions)
         self.cache = _BlockCache(delta, n_cut)
         self.worst_leak = 0.0
+        self.m_values = np.arange(n_ions + 1) - n_ions / 2.0
+        probs = self.css**2
+        # the m >= 0 half stands for its mirror too, which leaks alike
+        self.half = np.flatnonzero(self.m_values >= 0.0)
+        self.half_probs = probs[self.half] + probs[::-1][self.half]
+        self.half_probs[self.m_values[self.half] == 0.0] /= 2.0
+        self.probs = probs
+        parity = 1.0 - 2.0 * (self.cache.levels % 2)
+        self.parity_sign = np.outer(parity, parity[:n_comp])
 
-    def propagate(self, schedule: PulseSchedule) -> np.ndarray:
-        """Evolve the boson columns through the schedule for every Jz block.
+    def mirror(self, blocks: np.ndarray) -> np.ndarray:
+        """All N+1 blocks at drive scale -s from all N+1 blocks at +s."""
+        return blocks[::-1] * self.parity_sign
 
-        Returns B with shape (N+1, n_cut+1, n_comp).  Leakage is checked after
-        every segment and kick, per ensemble component.
+    def unfold(self, half: np.ndarray) -> np.ndarray:
+        """All N+1 blocks from the m >= 0 half of a drive-free run."""
+        n_neg = self.n_ions + 1 - len(self.half)
+        return np.concatenate([self.mirror(half)[:n_neg], half])
+
+    def propagate(
+        self,
+        events: list[tuple[str, object]],
+        blocks: Optional[np.ndarray] = None,
+        mirrored: bool = False,
+    ) -> np.ndarray:
+        """Evolve the boson columns through ``_timeline`` events for every Jz block.
+
+        ``blocks`` (default: the unit columns) has shape (n_blocks, n_cut+1,
+        n_comp) for all N+1 blocks, or for the m >= 0 half when ``mirrored``
+        (drive-free events only).  Leakage is checked after every segment and
+        kick, per ensemble component.
         """
-        n_ions, cache = self.n_ions, self.cache
-        m_values = np.arange(n_ions + 1) - n_ions / 2.0
-        blocks = np.zeros((n_ions + 1, self.n_cut + 1, self.n_comp), dtype=complex)
-        blocks[:] = np.eye(self.n_cut + 1, dtype=complex)[:, : self.n_comp]
-        probs = np.abs(self.css) ** 2
-
-        for kind_name, payload in _timeline(schedule):
+        m_values = self.m_values[self.half] if mirrored else self.m_values
+        probs = self.half_probs if mirrored else self.probs
+        for kind_name, event in events:
             if kind_name == "segment":
-                seg = payload
-                if seg.duration == 0.0:
+                if event.duration == 0.0:
                     continue
-                for a, m in enumerate(m_values):
-                    lam, vec = cache.block_eig(seg.g * m / math.sqrt(n_ions), seg.eta)
-                    phases = np.exp(-1.0j * lam * seg.duration)
-                    blocks[a] = vec @ (phases[:, None] * (vec.conj().T @ blocks[a]))
+                blocks = self._segment(blocks, m_values, event)
             else:
-                kick = payload
-                if kick.beta == 0.0:
+                if event.beta == 0.0:
                     continue
-                op = cache.kick(kick.beta)
-                for a in range(n_ions + 1):
-                    blocks[a] = op @ blocks[a]
+                kick = self.cache.kick(event.beta)
+                if blocks is None:
+                    blocks = np.repeat(kick[None, :, : self.n_comp], len(m_values), axis=0)
+                    blocks = blocks.astype(complex)
+                else:
+                    blocks = _real_matmul(kick, blocks)
             leak = np.einsum("a,akn->n", probs, np.abs(blocks[:, -2:, :]) ** 2)
             worst = float(np.max(leak))
             if worst > self.leak_tol:
@@ -400,15 +446,47 @@ class _ExactRun:
                     "increase n_cut"
                 )
             self.worst_leak = max(self.worst_leak, worst)
+        if blocks is None:
+            blocks = np.zeros((len(m_values), self.n_cut + 1, self.n_comp), dtype=complex)
+            blocks[:] = np.eye(self.n_cut + 1)[:, : self.n_comp]
         return blocks
 
-    def moments(self, schedule: PulseSchedule) -> dict:
-        """Ensemble-averaged final-state moments of the schedule (needs
+    def _segment(
+        self, blocks: Optional[np.ndarray], m_values: np.ndarray, seg: Segment
+    ) -> np.ndarray:
+        """exp(-i H_m t) B_m = D W e^{-i lam t} W^T D^H B_m per block; blocks
+        that share r share one real matmul pair."""
+        n_comp, cache, levels = self.n_comp, self.cache, self.cache.levels
+        couplings = seg.g * m_values / math.sqrt(self.n_ions)
+        groups: dict[float, list[int]] = {}
+        for i, c in enumerate(couplings):
+            groups.setdefault(math.hypot(c, seg.eta), []).append(i)
+        out = np.empty((len(m_values), self.n_cut + 1, n_comp), dtype=complex)
+        for r, rows in groups.items():
+            lam, vec = cache.eig(r)
+            # D = diag(e^{i k phi}) with c - i eta = r e^{-i phi}
+            gauges = [np.exp(1.0j * math.atan2(seg.eta, couplings[i]) * levels) for i in rows]
+            if blocks is None:
+                # W^T D^H e_n is row n of W times conj(D_n)
+                z = np.concatenate([vec[:n_comp].T * d[:n_comp].conj() for d in gauges], axis=1)
+            else:
+                z = np.concatenate(
+                    [d.conj()[:, None] * blocks[i] for i, d in zip(rows, gauges)], axis=1
+                )
+                z = _real_matmul(vec.T, z)
+            z *= np.exp(-1.0j * lam * seg.duration)[:, None]
+            z = _real_matmul(vec, z)
+            for j, (i, d) in enumerate(zip(rows, gauges)):
+                out[i] = d[:, None] * z[:, j * n_comp : (j + 1) * n_comp]
+        return out
+
+    def moments(self, blocks: np.ndarray) -> dict:
+        """Ensemble-averaged moments of the final boson blocks (needs
         ``n_comp`` equal to the ensemble length)."""
         css, ops = self.css, self.ops
         # ensemble-weighted overlaps sum_n w_n <B_a e_n, B_b e_n> of the Jz blocks
-        scaled = self.propagate(schedule) * np.sqrt(self.weights)[None, None, :]
-        overlap = np.einsum("akn,bkn->ab", scaled.conj(), scaled)
+        scaled = (blocks * np.sqrt(self.weights)).reshape(len(blocks), -1)
+        overlap = scaled.conj() @ scaled.T
 
         def expect(op: np.ndarray) -> complex:
             return complex(css.conj() @ (op * overlap) @ css)
@@ -431,14 +509,42 @@ def evolve_exact_detail(
     initial: Optional[ThermalEnsemble] = None,
     leak_tol: float = 1e-10,
 ) -> OracleMoments:
-    """Exact Hamiltonian evolution; returns moments, slope, and raw diagnostics."""
+    """Exact Hamiltonian evolution; returns moments, slope, and raw diagnostics.
+
+    The events before the first drive-dependent one are the same at every
+    drive scale and are propagated once.  Drive-free runs propagate the
+    m >= 0 blocks only; each drive scale s > 0 of the slope propagates all
+    blocks and gives the -s run by parity (``_ExactRun.mirror``).
+    """
     unit = spec.variant.unit_drive()
     run = _ExactRun(spec, delta, unit.schedule(1.0), n_cut, initial, leak_tol)
-    at_zero = run.moments(unit.schedule(0.0))
+    events = _timeline(unit.schedule(1.0))
+    n_free = next(
+        (i for i, (kind, ev) in enumerate(events)
+         if (ev.beta if kind == "kick" else ev.eta) != 0.0),
+        len(events),
+    )
+    half = full = None
+    if n_free:
+        half = run.propagate(events[:n_free], mirrored=True)
+        full = run.unfold(half)
+    at_zero = run.moments(
+        run.unfold(run.propagate(_timeline(unit.schedule(0.0))[n_free:], half, mirrored=True))
+    )
     norm_error = abs(at_zero["norm"] - 1.0)
-    if norm_error > 1e-10:
+    if not norm_error <= 1e-10:
         raise NumericalError(f"norm drift {norm_error:.3e} exceeds 1e-10")
-    slope = _drive_slope(lambda s: run.moments(unit.schedule(s))["jy"], unit.schedule(1.0))
+
+    jy: dict[float, float] = {}
+
+    def jy_at(scale: float) -> float:
+        if scale not in jy:
+            blocks = run.propagate(_timeline(unit.schedule(abs(scale)))[n_free:], full)
+            jy[abs(scale)] = run.moments(blocks)["jy"]
+            jy[-abs(scale)] = run.moments(run.mirror(blocks))["jy"]
+        return jy[scale]
+
+    slope = _drive_slope(jy_at, unit.schedule(1.0))
 
     return OracleMoments(
         jx=at_zero["jx"],
@@ -479,7 +585,8 @@ def driven_moments(
     returns {"jx", "jy", "jy_sq", "jplus", "jplus_sq", "jpm_sym", "norm"}.
     """
     schedule = spec.schedule(1.0)
-    return _ExactRun(spec, delta, schedule, n_cut, initial, leak_tol).moments(schedule)
+    run = _ExactRun(spec, delta, schedule, n_cut, initial, leak_tol)
+    return run.moments(run.propagate(_timeline(schedule)))
 
 
 def final_state(
@@ -495,7 +602,7 @@ def final_state(
     """
     schedule = spec.schedule(1.0)
     run = _ExactRun(spec, delta, schedule, n_cut, None, leak_tol, n_comp=initial_fock + 1)
-    amplitudes = run.css[:, None] * run.propagate(schedule)[:, :, initial_fock]
+    amplitudes = run.css[:, None] * run.propagate(_timeline(schedule))[:, :, initial_fock]
     return DickeBosonState(amplitudes=amplitudes, n_ions=spec.n_ions)
 
 
@@ -537,6 +644,8 @@ def evolve_lindblad_detail(
 ) -> LindbladMoments:
     """Master-equation evolution with sigma_z^i dephasing at rate gamma/4 while g != 0:
     the exact oracle from a thermal state, then ``damped_by_dephasing``."""
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ConfigError(f"gamma must be finite and >= 0, not {gamma!r}")
     # no leakage abort: valid jobs at an explicit n_cut reach ~1e-10
     exact = evolve_exact_detail(
         spec, delta, n_cut, ThermalEnsemble.from_nbar(nbar), leak_tol=math.inf

@@ -183,6 +183,13 @@ class TestRingDown:
             0.5 * (1 - math.exp(-2 * 250.0 * 1.5e-3)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("tau", [0.0, -1.5e-3, math.nan, math.inf])
+    def test_bad_readout_time_rejected(self, tau):
+        with pytest.raises(ConfigError):
+            ring_down_model(0.0, 250.0, tau)
+        with pytest.raises(ConfigError):
+            fit_ring_down(CalibrationDataset(self.WAITS, self.synthetic(self.KAPPA)), 250.0, tau)
+
     def test_zero_decay_is_flat(self):
         y = self.synthetic(0.0)
         assert np.ptp(y) < 1e-12

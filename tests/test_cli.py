@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from echosense.calibration import pup_model
+from echosense.calibration import pup_model, ring_down_model
 from echosense.cli import COMMANDS, _merged, build_parser, main
 from echosense.schemas import load_schema
 
@@ -273,10 +273,13 @@ class TestConfigHandling:
             ["renyi", "--g-hz", "inf"],
             ["wigner", "--g-tau", "nan"],
             ["oracle-check", "--tol", "nan"],
+            ["oracle-check", "--tol", "-1"],
+            ["oracle-check", "--tol", "0"],
             ["snr", "--tau-us", "-5"],
         ],
         ids=["steps_negative", "steps_zero", "snr_steps_negative", "points_zero",
-             "g_hz_inf", "g_tau_nan", "tol_nan", "snr_tau_negative"],
+             "g_hz_inf", "g_tau_nan", "tol_nan", "tol_negative", "tol_zero",
+             "snr_tau_negative"],
     )
     def test_invalid_flag_values_exit_2(self, argv, capsys):
         # flags pass the same value check as config-file entries
@@ -411,6 +414,16 @@ class TestCalibrate:
             warnings.simplefilter("error")
             assert main(["calibrate", "ringdown", "--data", str(path)]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau_us", ["-5", "0"])
+    def test_ringdown_nonpositive_readout_time_exit_2(self, tmp_path, tau_us, capsys):
+        waits = np.linspace(0.0, 0.4, 12)
+        y = ring_down_model(0.8 * np.exp(-waits / 0.3), 250.0, 1.5e-3)
+        path = tmp_path / "ringdown.csv"
+        path.write_text("x,y\n" + "".join(f"{x},{v}\n" for x, v in zip(waits, y)))
+        argv = ["calibrate", "ringdown", "--data", str(path), "--tau-us", tau_us]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_contrast_fit_csv(self, tmp_path):
         times = np.linspace(2e-4, 8e-3, 20)

@@ -24,8 +24,10 @@ from echosense.moments import deformed_transverse_invariant, moments_at_detuning
 from echosense.oracle import (
     ThermalEnsemble,
     _drive_slope,
+    _ExactRun,
     _timeline,
     damped_by_dephasing,
+    default_fock_cutoff,
     driven_moments,
     evolve_exact,
     evolve_exact_detail,
@@ -134,6 +136,52 @@ def _rk45_lindblad(spec, delta, n_cut, nbar, gamma) -> dict:
     return values
 
 
+def _dense_exact(spec, delta, n_cut, nbar) -> dict:
+    """Reference exact oracle: dense complex eigh of every block Hamiltonian
+    -delta n + c x + eta y and of y, all N+1 Jz blocks propagated at every
+    drive scale.  Returns jx, jy_sq, jpm_sym at zero drive and the slope."""
+    n_ions = spec.n_ions
+    weights = ThermalEnsemble.from_nbar(nbar).weights
+    levels = np.arange(n_cut + 1, dtype=float)
+    a = np.diag(np.sqrt(levels[1:]), 1)
+    x_b, y_b = a + a.T, 1.0j * (a.T - a)
+    m = np.arange(n_ions + 1) - n_ions / 2.0
+    j = n_ions / 2.0
+    jp = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
+    jx, jy = 0.5 * (jp + jp.T), (jp - jp.T) / 2.0j
+    ops = {"jx": jx, "jy": jy, "jy_sq": jy @ jy, "jpm_sym": 0.5 * (jp @ jp.T + jp.T @ jp)}
+    css = np.sqrt([math.comb(n_ions, k) for k in range(n_ions + 1)]) / 2.0 ** (n_ions / 2.0)
+    unit = spec.variant.unit_drive()
+    y_lam, y_vec = np.linalg.eigh(y_b)
+    eigs = {}
+
+    def eig(coupling: float, eta: float) -> tuple:
+        if (coupling, eta) not in eigs:
+            ham = np.diag(-delta * levels) + coupling * x_b + eta * y_b
+            eigs[coupling, eta] = np.linalg.eigh(ham)
+        return eigs[coupling, eta]
+
+    def expect(scale: float) -> dict:
+        blocks = np.zeros((n_ions + 1, n_cut + 1, len(weights)), dtype=complex)
+        blocks[:] = np.eye(n_cut + 1)[:, : len(weights)]
+        for kind, ev in _timeline(unit.schedule(scale)):
+            if kind == "kick":
+                kick = (y_vec * np.exp(-1.0j * ev.beta * y_lam)) @ y_vec.conj().T
+                blocks = kick @ blocks
+                continue
+            for i, m_i in enumerate(m):
+                lam, vec = eig(ev.g * m_i / math.sqrt(n_ions), ev.eta)
+                phases = np.exp(-1.0j * lam * ev.duration)[:, None]
+                blocks[i] = vec @ (phases * (vec.conj().T @ blocks[i]))
+        scaled = blocks * np.sqrt(weights)
+        overlap = np.einsum("akn,bkn->ab", scaled.conj(), scaled)
+        return {key: float((css @ (op * overlap) @ css).real) for key, op in ops.items()}
+
+    values = expect(0.0)
+    values["slope"] = _drive_slope(lambda s: expect(s)["jy"], unit.schedule(1.0))
+    return values
+
+
 class TestThermalEnsemble:
     def test_ground_state(self):
         ens = ThermalEnsemble.from_nbar(0.0)
@@ -146,6 +194,11 @@ class TestThermalEnsemble:
         # the discarded tail carries at most ~tail_mass * n_keep of the mean
         assert float(ens.weights @ n) == pytest.approx(2.0, abs=1e-8)
         assert ens.tail_mass < 1e-10
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.5])
+    def test_bad_nbar_rejected(self, nbar):
+        with pytest.raises(ConfigError):
+            ThermalEnsemble.from_nbar(nbar)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ConfigError):
@@ -261,6 +314,73 @@ class TestExactEvolution:
     def test_ion_cap(self):
         with pytest.raises(ConfigError):
             evolve_exact(ProtocolSpec(Displacement(G, 1e-4, 0.0), 13), 0.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_rejected(self, delta):
+        # a NaN detuning used to return all-NaN moments past the norm gate
+        with pytest.raises(ConfigError):
+            evolve_exact_detail(ProtocolSpec(Displacement(G, 1.0 / G, 0.0), 2), delta)
+
+    def test_non_integral_cutoff_rejected(self):
+        spec = ProtocolSpec(Displacement(G, 1.0 / G, 0.0), 2)
+        with pytest.raises(ConfigError):
+            evolve_exact_detail(spec, 0.1 * G, n_cut=40.5)
+        assert evolve_exact_detail(spec, 0.1 * G, n_cut=40.0).n_cut == 40
+
+
+PROTOCOLS = ["displacement", "readout", "classical_efield", "quantum_efield"]
+
+
+def _protocol(name: str, rng: np.random.Generator):
+    """A named protocol at g*tau and T/tau drawn from ``rng``."""
+    tau = rng.uniform(0.3, 0.6) / G
+    T = rng.uniform(2.2, 3.5) * tau
+    variants = {
+        "displacement": Displacement(G, tau, 0.0),
+        "readout": ReadoutOnly(G, tau, 0.0),
+        "classical_efield": ClassicalEField(G, tau, T, 0.0),
+        "quantum_efield": QuantumEField(G, tau, T, 0.0),
+    }
+    return variants[name]
+
+
+class TestStructuredCore:
+    """The gauged tridiagonal, parity-paired core against the dense one."""
+
+    @pytest.mark.parametrize("n_ions", [2, 3, 5, 8])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_matches_dense_reference(self, protocol, n_ions):
+        variant = _protocol(protocol, np.random.default_rng([PROTOCOLS.index(protocol), n_ions]))
+        spec = ProtocolSpec(variant, n_ions)
+        for nbar in (0.0, 0.7):
+            ens = ThermalEnsemble.from_nbar(nbar)
+            for delta in (0.0, 0.13 * G):
+                default = evolve_exact_detail(spec, delta, initial=ens)
+                n_cut = default_fock_cutoff(variant.unit_drive().schedule(), delta, n_ions, ens)
+                assert default.n_cut == n_cut
+                explicit = evolve_exact_detail(spec, delta, n_cut=n_cut + 3, initial=ens)
+                assert explicit.n_cut == n_cut + 3
+                for det in (default, explicit):
+                    ref = _dense_exact(spec, delta, det.n_cut, nbar)
+                    assert det.jx == pytest.approx(ref["jx"], rel=1e-12)
+                    assert det.jy_sq == pytest.approx(ref["jy_sq"], rel=1e-12)
+                    assert det.jpm_sym == pytest.approx(ref["jpm_sym"], rel=1e-12)
+                    assert det.slope == pytest.approx(ref["slope"], rel=1e-10)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_parity_mirror(self, protocol):
+        # B_{-m}(-s) = P B_m(s) diag((-1)^n) in the truncated space
+        variant = _protocol(protocol, np.random.default_rng(7))
+        unit = variant.unit_drive()
+        ens = ThermalEnsemble.from_nbar(0.7)
+        run = _ExactRun(ProtocolSpec(variant, 5), 0.13 * G, unit.schedule(), None, ens, 1e-10)
+        scale = 0.3 if unit.drive == "beta" else 0.3 / unit.schedule().total_duration
+        plus = run.propagate(_timeline(unit.schedule(scale)))
+        minus = run.propagate(_timeline(unit.schedule(-scale)))
+        assert np.max(np.abs(run.mirror(plus) - minus)) <= 1e-13
+        zero = _timeline(unit.schedule(0.0))
+        half = run.propagate(zero, mirrored=True)
+        assert np.max(np.abs(run.unfold(half) - run.propagate(zero))) <= 1e-13
 
 
 G_E = 2 * math.pi * 3880.0
@@ -392,6 +512,11 @@ class TestLindblad:
         assert lb.jpm_sym == pytest.approx(
             deformed_transverse_invariant(3, gamma, 2 * tau), rel=1e-6
         )
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(ConfigError):
+            evolve_lindblad_detail(self.SPEC, self.DELTA, gamma=gamma)
 
     def test_ion_cap(self):
         with pytest.raises(ConfigError):
