@@ -39,6 +39,7 @@ from .moments import SpinMoments, contrast, moments_at_detuning, readout_snr_lar
 from .sensitivity import (
     Bounds,
     QuadratureRule,
+    TauOptima,
     averaged_sensitivity,
     bounds,
     gauss_hermite_rule,
@@ -83,6 +84,7 @@ __all__ = [
     "readout_snr_largeN",
     "Bounds",
     "QuadratureRule",
+    "TauOptima",
     "averaged_sensitivity",
     "bounds",
     "gauss_hermite_rule",

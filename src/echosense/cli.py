@@ -17,10 +17,10 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-import warnings
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -216,13 +216,14 @@ def cmd_efield_sweep(args: argparse.Namespace, cfg: dict) -> int:
         "sql",
         "eps_Vm_quantum",
     ]
+    # each family's T rows refined in lockstep; a row without a finite grid
+    # point raises at its turn (T ascending, quantum before classical)
+    quantum_rows = optimize_tau("quantum", t_grid, g, noise, rule, cfg["n_ions"])
+    classical_rows = optimize_tau("classical", t_grid, g, noise, rule, cfg["n_ions"])
     rows = []
-    for T in t_grid:
-        T = float(T)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            tau_q, dsq_q = optimize_tau("quantum", T, g, noise, rule, cfg["n_ions"])
-            tau_c, dsq_c = optimize_tau("classical", T, g, noise, rule, cfg["n_ions"])
+    for i, T in enumerate(t_grid.tolist()):
+        tau_q, dsq_q = quantum_rows.row(i)
+        tau_c, dsq_c = classical_rows.row(i)
         # SweepRow validates the tau caps (<= T/2 quantum, <= T classical)
         q_variant = QuantumEField(g, tau_q, T)
         c_variant = ClassicalEField(g, tau_c, T)
@@ -435,8 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler, defaults, _ = COMMANDS[args.command]
     try:
         return handler(args, _merged(args, defaults))

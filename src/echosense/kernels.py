@@ -19,11 +19,13 @@ fixes the sign of q.  Every kernel function broadcasts over ``delta``, so a
 full quadrature grid is one call, and a scalar ``delta`` gives scalar kernels.
 The named closed forms also take a drive-time axis: ``tau`` of shape
 ``(n_tau, 1)`` against ``delta`` of shape ``(n_delta,)`` gives kernels of shape
-``(n_tau, n_delta)`` and one ``odf_on_time`` per row.  Their scalar
-coefficients in tau (the powers of tau and T - tau in the p series) are
-computed per row as Python floats (``map_floats``), so row i is bitwise the
-kernels of a scalar call at ``tau[i]``; numpy's array power can differ from the
-scalar one in the last bit.
+``(n_tau, n_delta)`` and one ``odf_on_time`` per row.  The two e-field forms
+take ``T`` as a column beside ``tau`` too, so the rows of one call may belong
+to different protocol times.  Their scalar coefficients in tau and T (the
+powers of tau and T - tau in the p series) are computed per row as Python
+floats (``map_floats``), so row i is bitwise the kernels of a scalar call at
+``tau[i]`` (and ``T[i]``); numpy's array power can differ from the scalar one
+in the last bit.
 
 Numerical notes: the named h and q are evaluated through cancellation-free
 product forms.  The named p kernels subtract terms that agree through O(delta^2),
@@ -92,17 +94,23 @@ class Kernels:
         return np.abs(self.h) ** 2
 
 
-def map_floats(fn, x: Scalar) -> tuple:
-    """``fn(t)``, a tuple of floats, for every entry t of ``x`` as a Python float.
+def map_floats(fn, *xs: Scalar) -> tuple:
+    """``fn(*t)``, a tuple of floats, for every entry t of the broadcast ``xs``
+    as Python floats.
 
-    A scalar ``x`` gives the tuple itself, an array a tuple of arrays of its
+    Scalars give the tuple itself, arrays a tuple of arrays of their broadcast
     shape.  Scalar arithmetic done this way has the bits of the scalar path.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return fn(float(arr))
-    rows = [fn(t) for t in arr.ravel().tolist()]
-    return tuple(np.array(col).reshape(arr.shape) for col in zip(*rows))
+    if all(type(x) is float for x in xs):  # the scalar call, without array overhead
+        return fn(*xs)
+    arrs = [np.asarray(x, dtype=float) for x in xs]
+    if len(arrs) > 1:
+        arrs = np.broadcast_arrays(*arrs)
+    shape = arrs[0].shape
+    if not shape:
+        return fn(*map(float, arrs))
+    rows = [fn(*t) for t in zip(*(arr.ravel().tolist() for arr in arrs))]
+    return tuple(np.array(col).reshape(shape) for col in zip(*rows))
 
 
 def _as_tau(tau: Scalar) -> Scalar:
@@ -185,13 +193,15 @@ def kernels_readout(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0) -> 
 
 
 def kernels_classical_efield(
-    g: float, tau: Scalar, T: float, delta: Scalar, eta: float = 1.0
+    g: float, tau: Scalar, T: Scalar, delta: Scalar, eta: float = 1.0
 ) -> Kernels:
     """Constant drive for T, readout pulse (-g) during the final tau.
 
     |h|^2 = (4 g^2/delta^2) sin^2(delta tau/2)
     p     = (g^2/delta^2) [sin(delta tau) - delta tau]
     q     = (eta g/delta^2) {cos(delta T) - cos[delta (T - tau)]}
+
+    ``T`` is a float, or a column beside a ``tau`` column (one T per row).
     """
     tau = _as_tau(tau)
     if np.any(tau > T):
@@ -232,7 +242,7 @@ def _quantum_series_coefficients(tau: float, T: float) -> tuple[float, float, fl
 
 
 def kernels_quantum_efield(
-    g: float, tau: Scalar, T: float, delta: Scalar, eta: float = 1.0
+    g: float, tau: Scalar, T: Scalar, delta: Scalar, eta: float = 1.0
 ) -> Kernels:
     """Constant drive for T with entangling (+g) and readout (-g) pulses of length tau.
 
@@ -240,6 +250,8 @@ def kernels_quantum_efield(
     p     = -(2 g^2/delta^2) {delta tau - sin(delta tau)
                               - 2 sin^2(delta tau/2) sin[delta (T - tau)]}
     q     = -(4 g eta/delta^2) sin(delta tau/2) sin[delta (T - tau)/2] cos(delta T/2)
+
+    ``T`` is a float, or a column beside a ``tau`` column (one T per row).
     """
     tau = _as_tau(tau)
     if np.any(2.0 * tau > T):
@@ -264,7 +276,7 @@ def kernels_quantum_efield(
             -g * eta * tau * s,
             -(4.0 * g * eta / safe_sq) * sin_half_u * sin_half_v * np.cos(d * T / 2.0),
         )
-    c1, c3, c5 = map_floats(lambda t: _quantum_series_coefficients(t, T), tau)
+    c1, c3, c5 = map_floats(_quantum_series_coefficients, tau, T)
     p_series = -2.0 * g**2 * (d * c1 + d**3 * c3 + d**5 * c5)
     p = np.where(small, p_series, p_direct)
     return _kernels(h, p, q, odf_on_time=2.0 * tau)

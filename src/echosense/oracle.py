@@ -600,6 +600,10 @@ def final_state(
 
     amplitudes[m, k] is the coefficient of |m_z = m - N/2> x |k>.
     """
+    if not (isinstance(initial_fock, numbers.Real) and float(initial_fock).is_integer()
+            and initial_fock >= 0):
+        raise ConfigError(f"initial_fock must be an integer >= 0, not {initial_fock!r}")
+    initial_fock = int(initial_fock)
     schedule = spec.schedule(1.0)
     run = _ExactRun(spec, delta, schedule, n_cut, None, leak_tol, n_comp=initial_fock + 1)
     amplitudes = run.css[:, None] * run.propagate(_timeline(schedule))[:, :, initial_fock]

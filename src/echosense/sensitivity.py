@@ -12,9 +12,11 @@ are deterministic regardless of any data-parallel execution of the nodes.
 
 Many drive times at once (``sensitivity_over_tau``, and ``optimize_tau``'s
 coarse grid) are a single batched evaluation: one call of the closed-form
-kernels and moments on a ``(n_tau, n_delta)`` grid, reduced row by row by the
-code of ``averaged_sensitivity``, so that each row is bitwise
-``averaged_sensitivity`` at its tau.
+kernels and moments on a ``(n_tau, n_delta)`` grid, reduced by the code of
+``averaged_sensitivity`` (``_reduce``), so that each row is bitwise
+``averaged_sensitivity`` at its tau.  The e-field forms also take a T per
+row, which lets ``optimize_tau`` refine a whole sweep over T in lockstep: one
+batched call per golden-section step serves the searches of every T.
 
 The perturbative expressions keep terms through second order in the detuning
 spread sigma and lowest order in 1/N.  They are trustworthy for
@@ -25,6 +27,7 @@ full-numerics path should be believed.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -50,7 +53,7 @@ from .kernels import (
     kernels_quantum_efield,
     kernels_readout,
 )
-from .moments import moments_at_detuning
+from .moments import SpinMoments, moments_at_detuning
 
 __all__ = [
     "QuadratureRule",
@@ -63,6 +66,7 @@ __all__ = [
     "perturbative_quantum_efield",
     "Bounds",
     "bounds",
+    "TauOptima",
     "optimize_tau",
     "snr_single_measurement",
     "SweepRow",
@@ -119,17 +123,18 @@ def gauss_hermite_rule(sigma: float, n_nodes: int = 64) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _protocol_kernels(variant: Variant, delta: np.ndarray, tau=None) -> Kernels:
+def _protocol_kernels(variant: Variant, delta: np.ndarray, **columns) -> Kernels:
     """Unit-drive-amplitude kernels for the variant, broadcast over delta: its
     closed form (one of the kernel functions imported here) or the generic
-    kernels of its unit-drive schedule.  ``tau`` (a column) replaces the
-    variant's own drive time, giving one row of kernels per drive time."""
+    kernels of its unit-drive schedule.  ``columns`` (``tau``, and ``T`` for
+    the e-field forms) replace the variant's own fields, giving one row of
+    kernels per entry."""
     if variant.closed_form is None:
-        if tau is not None:
+        if columns:
             raise ConfigError(f"protocol {variant.name!r} has no drive time tau")
         return kernels_generic(variant.unit_drive().schedule(1.0), delta)
     args = [
-        tau if tau is not None and f.name == "tau" else getattr(variant, f.name)
+        columns.get(f.name, getattr(variant, f.name))
         for f in fields(variant)
         if f.name != variant.drive
     ]
@@ -137,28 +142,24 @@ def _protocol_kernels(variant: Variant, delta: np.ndarray, tau=None) -> Kernels:
 
 
 def _reduce(
-    noise: NoiseModel,
-    rule: QuadratureRule,
-    jy_sq: np.ndarray,
-    slope: np.ndarray,
-    in_domain: np.ndarray,
-) -> tuple[float, float, float, bool]:
+    noise: NoiseModel, rule: QuadratureRule, jy_sq: np.ndarray, slope: np.ndarray
+) -> tuple[float, float, float]:
     """Average one drive time's node values over ``rule`` into the variance,
-    slope, delta_sq and in_domain of its report (see ``averaged_sensitivity``);
-    the one reduction behind every averaged sensitivity."""
-    jy_sq_av = float(rule.weights @ jy_sq)
-    slope_av = float(rule.weights @ slope)
-    domain_ok = bool(in_domain[rule.heavy].all())
+    slope and delta_sq of its report (see ``averaged_sensitivity``), with
+    delta_sq +inf where it is not finite; the one reduction behind every
+    averaged sensitivity.
 
+    Batches are reduced row by row through this, so each row is bitwise the
+    reduction of that row alone: a matrix-vector product, or numpy's array
+    square, can differ in the last bit.  (Done as array operations, the few
+    scalar steps per row cost more than they save.)
+    """
+    jy_sq_av = float(rule.weights.dot(jy_sq))
+    slope_av = float(rule.weights.dot(slope))
     variance = jy_sq_av * noise.excess_noise_factor**2
     slope_sq = slope_av**2
     delta_sq = variance / slope_sq if slope_sq > 0.0 else math.inf
-    if not math.isfinite(delta_sq):
-        raise NumericalError(
-            f"delta_sq is not finite (averaged signal slope {slope_av:.3e}): "
-            "no usable signal to estimate"
-        )
-    return variance, slope_av, delta_sq, domain_ok
+    return variance, slope_av, delta_sq if math.isfinite(delta_sq) else math.inf
 
 
 def _report(
@@ -170,7 +171,12 @@ def _report(
     in_domain: np.ndarray,
 ) -> SensitivityReport:
     """The report of one drive time's node values."""
-    variance, slope, delta_sq, domain_ok = _reduce(noise, rule, jy_sq, slope, in_domain)
+    variance, slope, delta_sq = _reduce(noise, rule, jy_sq, slope)
+    if delta_sq == math.inf:
+        raise NumericalError(
+            f"delta_sq is not finite (averaged signal slope {slope:.3e}): "
+            "no usable signal to estimate"
+        )
     sql = variant.sql
     return SensitivityReport(
         variance=variance,
@@ -180,7 +186,7 @@ def _report(
         thermal_bound=(2.0 * noise.nbar + 1.0) * sql,
         db_below_sql=db_below(sql, delta_sq),
         protocol=variant.name,
-        in_domain=domain_ok,
+        in_domain=bool(in_domain[rule.heavy].all()),
     )
 
 
@@ -198,15 +204,15 @@ def averaged_sensitivity(
     return _report(spec.variant, noise, rule, mom.jy_sq, mom.slope, mom.in_domain)
 
 
-def _tau_rows(
-    spec: ProtocolSpec, taus: np.ndarray, noise: NoiseModel, rule: QuadratureRule
-) -> zip:
-    """(jy_sq, slope, in_domain) node rows, one per drive time in ``taus``,
-    from one batched closed-form evaluation."""
-    column = np.asarray(taus, dtype=float).reshape(-1, 1)
-    kernels = _protocol_kernels(spec.variant, rule.nodes, column)
-    mom = moments_at_detuning(kernels, spec.n_ions, noise)
-    return zip(mom.jy_sq, mom.slope, mom.in_domain)
+def _node_rows(
+    spec: ProtocolSpec, noise: NoiseModel, rule: QuadratureRule, **columns
+) -> SpinMoments:
+    """Node moments from one batched closed-form evaluation, one row per entry
+    of ``columns`` (``tau``, and ``T`` for the e-field forms), which replace
+    ``spec``'s own fields."""
+    columns = {key: np.asarray(col, dtype=float).reshape(-1, 1) for key, col in columns.items()}
+    kernels = _protocol_kernels(spec.variant, rule.nodes, **columns)
+    return moments_at_detuning(kernels, spec.n_ions, noise)
 
 
 def sensitivity_over_tau(
@@ -219,23 +225,26 @@ def sensitivity_over_tau(
     one batched call, and report i is bitwise ``averaged_sensitivity`` at
     ``taus[i]``.  Where that raises, this raises (at the first such tau).
     """
-    rows = _tau_rows(spec, taus, noise, rule)
+    mom = _node_rows(spec, noise, rule, tau=taus)
+    rows = zip(mom.jy_sq, mom.slope, mom.in_domain)
     return [_report(spec.variant, noise, rule, *row) for row in rows]
+
+
+def _delta_sq_rows(
+    spec: ProtocolSpec, noise: NoiseModel, rule: QuadratureRule, **columns
+) -> np.ndarray:
+    """The delta_sq of each row of ``_node_rows``, +inf where
+    ``averaged_sensitivity`` raises NumericalError: ``optimize_tau``'s objective."""
+    mom = _node_rows(spec, noise, rule, **columns)
+    return np.array([_reduce(noise, rule, *row)[2] for row in zip(mom.jy_sq, mom.slope)])
 
 
 def _delta_sq_over_tau(
     spec: ProtocolSpec, taus: np.ndarray, noise: NoiseModel, rule: QuadratureRule
 ) -> np.ndarray:
-    """The delta_sq of ``sensitivity_over_tau`` without building reports, and
-    +inf where ``averaged_sensitivity`` raises NumericalError: the objective on
-    ``optimize_tau``'s coarse grid."""
-    values = []
-    for row in _tau_rows(spec, taus, noise, rule):
-        try:
-            values.append(_reduce(noise, rule, *row)[2])
-        except NumericalError:
-            values.append(math.inf)
-    return np.array(values)
+    """``_delta_sq_rows`` at every drive time in ``taus``: the objective on one
+    coarse grid of ``optimize_tau``."""
+    return _delta_sq_rows(spec, noise, rule, tau=taus)
 
 
 @dataclass(frozen=True)
@@ -405,9 +414,73 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class TauOptima:
+    """``optimize_tau`` at many protocol times T, one entry per T.
+
+    ``tau_opt`` and ``delta_sq`` are the optimum and its delta_sq; ``refined``
+    is False where the coarse grid was not unimodal and its minimum is
+    returned unrefined.  ``tau_opt`` is NaN where the grid has no finite point.
+    """
+
+    family: str
+    tau_opt: np.ndarray
+    delta_sq: np.ndarray
+    refined: np.ndarray
+
+    def row(self, i: int) -> tuple[float, float]:
+        """(tau_opt, delta_sq) at the ith T; NumericalError where its grid has
+        no finite point."""
+        if math.isnan(self.tau_opt[i]):
+            raise NumericalError(
+                f"delta_sq({self.family}) is not finite anywhere on the coarse grid"
+            )
+        return float(self.tau_opt[i]), float(self.delta_sq[i])
+
+
+def _local_minima(values: np.ndarray) -> int:
+    """Strict local minima of a grid, its two ends included."""
+    inner = values[1:-1]
+    interior = np.count_nonzero((inner < values[:-2]) & (inner < values[2:]))
+    return int(interior) + int(values[0] < values[1]) + int(values[-1] < values[-2])
+
+
+def _golden_section(objective, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Midpoints of the brackets [a, b] after golden-section search of each.
+
+    The searches run in lockstep: ``objective(taus, at)`` evaluates the point
+    ``taus[j]`` of search ``at[j]`` for all of them in one call, first the two
+    inner points of every search, then at each step the one new point of every
+    search whose bracket is still above ``tol`` and still shrinking.  Each
+    search makes the float operations of a scalar loop on its own bracket.
+    """
+    every = np.arange(len(a))
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = np.split(objective(np.concatenate([x1, x2]), np.concatenate([every, every])), 2)
+    width = b - a
+    live = width > tol
+    while live.any():
+        at = np.flatnonzero(live)
+        left = f1[at] < f2[at]
+        lt, rt = at[left], at[~left]
+        b[lt], x2[lt], f2[lt] = x2[lt], x1[lt], f1[lt]
+        x1[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        a[rt], x1[rt], f1[rt] = x1[rt], x2[rt], f2[rt]
+        x2[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        f_new = objective(np.where(left, x1[at], x2[at]), at)
+        f1[lt], f2[rt] = f_new[left], f_new[~left]
+        shrunk = b[at] - a[at]
+        # a bracket at the float spacing of tau no longer shrinks
+        live[at] = (shrunk > tol) & (shrunk < width[at])
+        width[at] = shrunk
+    return 0.5 * (a + b)
+
+
 def optimize_tau(
     family: str,
-    T: float,
+    T: float | np.ndarray,
     g: float,
     noise: NoiseModel,
     rule: QuadratureRule,
@@ -416,76 +489,90 @@ def optimize_tau(
     tau_max: float | None = None,
     coarse: int = 64,
     tol: float = 1e-7,
-) -> tuple[float, float]:
+) -> tuple[float, float] | TauOptima:
     """Minimize the full-numerics delta_sq over the admissible drive time tau.
 
-    A ``coarse``-point grid brackets the minimum, then golden-section search
-    refines it to absolute tolerance ``tol`` seconds.  The grid is one batched
-    evaluation (``_delta_sq_over_tau``) whose values are bitwise those of
-    ``averaged_sensitivity`` at each grid point; the refinement calls
-    ``averaged_sensitivity`` once per step.  If the grid shows more
-    than one local minimum a warning is emitted and the grid minimum is
-    returned unrefined.  ``family`` names a variant class (``Variant.lookup``)
-    and tau is capped at its ``tau_cap`` times T (for "displacement", T simply
-    bounds the scan).  A tau where delta_sq is not finite scores +inf; only a
-    grid without a finite point raises NumericalError.
+    For each protocol time T, a ``coarse``-point grid brackets the minimum,
+    then golden-section search (Kiefer, Proc. AMS 4, 502 (1953)) refines it to
+    absolute tolerance ``tol`` seconds; a bracket that stops shrinking at the
+    float spacing ends the search there.  Each grid is one batched evaluation
+    (``_delta_sq_over_tau``).  The searches of all T run in lockstep: each
+    step evaluates the one new point of every still-open search in one
+    batched call, as do the first two probes and the final evaluation at the
+    optimum.  Every search makes exactly the float operations of a search of
+    its T alone, and every objective value is bitwise ``averaged_sensitivity``
+    at its point.  If a grid shows more than one local minimum, its minimum
+    is returned unrefined.  ``family`` names a variant class
+    (``Variant.lookup``) and tau is capped at its ``tau_cap`` times T (for
+    "displacement", T simply bounds the scan).  A tau where delta_sq is not
+    finite scores +inf.
+
+    A float ``T`` returns ``(tau_opt, delta_sq)``; an unrefined grid minimum
+    comes with a RuntimeWarning, and a grid without a finite point raises
+    NumericalError.  A 1-D array of T returns ``TauOptima``, which flags both
+    per T instead.
     """
     cls = Variant.lookup(family)
     names = {f.name for f in fields(cls)}
     if "tau" not in names:
         raise ConfigError(f"protocol {family!r} has no drive time tau to optimize")
-    fixed = {key: value for key, value in (("g", g), ("T", T)) if key in names}
-    if not T > 0.0:
+    Ts = np.asarray(T, dtype=float)
+    scalar = Ts.ndim == 0
+    if Ts.ndim > 1:
+        raise ConfigError("T must be a number or a 1-D array")
+    if not np.all(Ts > 0.0):
         raise ConfigError("T must be > 0")
+    if not (isinstance(coarse, numbers.Real) and float(coarse).is_integer()):
+        raise ConfigError(f"coarse must be an integer, not {coarse!r}")
     if coarse < 8:
         raise ConfigError("coarse grid needs at least 8 points")
-    hi = tau_max if tau_max is not None else cls.tau_cap * T
-    lo = tau_min if tau_min is not None else hi / 256.0
-    if not 0.0 < lo < hi:
-        raise ConfigError("need 0 < tau_min < tau_max")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be finite and > 0, not {tol!r}")
+    coarse = int(coarse)
+    Ts = Ts.reshape(-1)
+    tau_opt = np.full(len(Ts), math.nan)
+    delta_sq = np.full(len(Ts), math.inf)
+    refined = np.zeros(len(Ts), dtype=bool)
+    a, b = np.empty(len(Ts)), np.empty(len(Ts))
+    for i, T_i in enumerate(Ts.tolist()):
+        hi = tau_max if tau_max is not None else cls.tau_cap * T_i
+        lo = tau_min if tau_min is not None else hi / 256.0
+        if not 0.0 < lo < hi:
+            raise ConfigError("need 0 < tau_min < tau_max")
+        fixed = {key: value for key, value in (("g", g), ("T", T_i)) if key in names}
+        # the variant at tau_max checks the tau cap before the batched grid
+        spec = ProtocolSpec(cls(tau=hi, **fixed), n_ions)
+        grid = np.linspace(lo, hi, coarse)
+        values = _delta_sq_over_tau(spec, grid, noise, rule)
+        if not np.isfinite(values).any():
+            continue
+        i_best = int(np.argmin(values))
+        if _local_minima(values) > 1:
+            tau_opt[i], delta_sq[i] = grid[i_best], values[i_best]
+            continue
+        a[i], b[i] = grid[max(i_best - 1, 0)], grid[min(i_best + 1, coarse - 1)]
+        refined[i] = True
 
-    def objective(tau: float) -> float:
-        spec = ProtocolSpec(cls(tau=tau, **fixed), n_ions)
-        try:
-            return averaged_sensitivity(spec, noise, rule).delta_sq
-        except NumericalError:
-            return math.inf
+    rows = np.flatnonzero(refined)
+    if rows.size:
 
-    grid = np.linspace(lo, hi, coarse)
-    # the variant at tau_max checks the tau cap before the batched grid
-    values = _delta_sq_over_tau(ProtocolSpec(cls(tau=hi, **fixed), n_ions), grid, noise, rule)
-    if not np.isfinite(values).any():
-        raise NumericalError(f"delta_sq({family}) is not finite anywhere on the coarse grid")
-    i_best = int(np.argmin(values))
+        def objective(taus: np.ndarray, at: np.ndarray) -> np.ndarray:
+            # spec (any row's) supplies g and n_ions; tau and T come per search
+            T_column = {"T": Ts[rows[at]]} if "T" in names else {}
+            return _delta_sq_rows(spec, noise, rule, tau=taus, **T_column)
 
-    interior_minima = 0
-    for i in range(1, coarse - 1):
-        if values[i] < values[i - 1] and values[i] < values[i + 1]:
-            interior_minima += 1
-    edge_minima = int(values[0] < values[1]) + int(values[-1] < values[-2])
-    if interior_minima + edge_minima > 1:
+        tau_opt[rows] = _golden_section(objective, a[rows], b[rows], tol)
+        delta_sq[rows] = objective(tau_opt[rows], np.arange(rows.size))
+
+    optima = TauOptima(family, tau_opt, delta_sq, refined)
+    if not scalar:
+        return optima
+    tau, value = optima.row(0)
+    if not optima.refined[0]:
         warnings.warn(
             f"delta_sq({family}) is not unimodal on the coarse grid; "
             "returning the grid minimum",
             RuntimeWarning,
             stacklevel=2,
         )
-        return float(grid[i_best]), float(values[i_best])
-
-    a = grid[max(i_best - 1, 0)]
-    b = grid[min(i_best + 1, coarse - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    while b - a > tol:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = objective(x2)
-    tau_opt = 0.5 * (a + b)
-    return float(tau_opt), float(objective(tau_opt))
+    return tau, value

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from echosense.calibration import pup_model, ring_down_model
+from echosense import cli
 from echosense.cli import COMMANDS, _merged, build_parser, main
 from echosense.schemas import load_schema
 
@@ -195,6 +196,60 @@ class TestTableCommands:
         assert code == 0
         row = [float(v) for v in out.read_text().strip().splitlines()[1].split(",")]
         assert 2.0e-6 <= row[6] <= 2.6e-6
+
+
+class TestEfieldSweepFailures:
+    @pytest.mark.parametrize(
+        "argv,family",
+        [
+            # depolarization wipes out the signal of both families at every T
+            (["--gamma", "1e9", "--t-steps", "3"], "quantum"),
+            # a huge coupling at N = 2: classical has no finite grid point at
+            # any T, quantum only from the fourth T on; the first failure in
+            # sweep order (T ascending, quantum first) is classical's
+            (["--g-hz", "1e6", "--nbar", "100", "--n-ions", "2", "--gamma", "500",
+              "--nodes", "16", "--t-steps", "5"], "classical"),
+        ],
+    )
+    def test_first_failure_in_sweep_order(self, argv, family, capsys):
+        assert main(["efield-sweep", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"numerical failure: delta_sq({family}) is not finite anywhere on the coarse grid\n"
+        )
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["snr", "--steps", "3", "--format", "json"],
+        ["renyi", "--steps", "4"],
+        ["snr"],  # the default steps and format again
+        ["efield-sweep", "--t-steps", "0"],  # invalid configuration: exit 2
+        ["wigner", "--points", "3", "--kind", "reduced_boson"],
+        ["snr", "--steps", "3"],
+        ["wigner", "--points", "3"],  # the default kind again
+        ["renyi", "--no-such-flag"],  # rejected by the parser: exit 2
+        ["renyi", "--steps", "4", "--format", "json"],
+    ]
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_consecutive_calls_share_no_state(self, capsys, monkeypatch):
+        assert cli._parser() is cli._parser()
+        shared = [self.run(argv, capsys) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [self.run(argv, capsys) for argv in self.SEQUENCE]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0, 0, 2, 0]
+        assert len(shared[2][1].splitlines()) == 62  # csv header + 61 default steps
 
 
 class TestConfigHandling:

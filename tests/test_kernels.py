@@ -354,6 +354,26 @@ class TestTauAxis:
                 assert getattr(grid, field)[i].tobytes() == getattr(one, field).tobytes()
             assert grid.odf_on_time[i, 0] == one.odf_on_time
 
+    @pytest.mark.parametrize("name", ["classical_efield", "quantum_efield"])
+    def test_T_column_rows_are_scalar_calls_bitwise(self, name):
+        fn, cap, _ = NAMED[name]
+        rng = np.random.default_rng(len(name) + 1)
+        Ts = rng.uniform(0.2e-3, 2e-3, 48)
+        taus = rng.uniform(1e-3, 1.0, 48) * cap * Ts
+        # the quantum p series switches on |delta| T, so these straddle it per row
+        deltas = np.concatenate(([0.0, -2.0, 2.0, 5.0], rng.uniform(-6e3, 6e3, 8)))
+        grid = fn(G, taus[:, None], Ts[:, None], deltas)
+        assert grid.p.shape == (48, len(deltas))
+        for i, (tau, T) in enumerate(zip(taus.tolist(), Ts.tolist())):
+            one = fn(G, tau, T, deltas)
+            for field in ("h", "p", "q"):
+                assert getattr(grid, field)[i].tobytes() == getattr(one, field).tobytes()
+            assert grid.odf_on_time[i, 0] == one.odf_on_time
+        # the second row's tau is above its own T's cap
+        taus, Ts = np.full((2, 1), 0.5 * cap * 1e-3), np.array([[1e-3], [0.4e-3]])
+        with pytest.raises(ConfigError):
+            fn(G, taus, Ts, 100.0)
+
     @pytest.mark.parametrize("name", list(NAMED))
     def test_checks_cover_the_whole_axis(self, name):
         cap = NAMED[name][1] * self.T

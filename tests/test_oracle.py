@@ -295,6 +295,12 @@ class TestExactEvolution:
         jy = float(np.real(np.einsum("ak,ab,bk->", amp.conj(), jy_op, amp)))
         assert jy == pytest.approx(driven_moments(spec, 0.0)["jy"], rel=1e-10)
 
+    @pytest.mark.parametrize("level", [-1, 2.5, math.nan])
+    def test_final_state_rejects_bad_fock_level(self, level):
+        spec = ProtocolSpec(Displacement(G, 2e-4, 0.3), 4)
+        with pytest.raises(ConfigError, match="initial_fock"):
+            final_state(spec, 0.0, initial_fock=level)
+
     def test_cutoff_doubling_stability(self):
         tau = 1.0 / G
         delta = 0.1 * G

@@ -488,6 +488,205 @@ class TestTauGrid:
             optimize_tau("quantum", 1e-3, G, NoiseModel(gamma=1e9), RULE0, 150)
 
 
+def golden_reference(family, T, g, noise, rule, n_ions, coarse=64, tol=1e-7):
+    """optimize_tau of one T as the scalar loop it replaced: the coarse grid
+    point by point, then one averaged_sensitivity call per golden-section
+    step.  Returns (tau_opt, delta_sq, refined, steps)."""
+    cls = Variant.lookup(family)
+    fixed = fixed_fields(cls, g, T)
+    hi = cls.tau_cap * T
+    grid = np.linspace(hi / 256.0, hi, coarse)
+    values = per_point(cls, fixed, n_ions, grid, noise, rule)
+    if not np.isfinite(values).any():
+        raise NumericalError(f"delta_sq({family}) is not finite anywhere on the coarse grid")
+    i_best = int(np.argmin(values))
+    minima = sum(
+        values[i] < values[i - 1] and values[i] < values[i + 1] for i in range(1, coarse - 1)
+    )
+    minima += int(values[0] < values[1]) + int(values[-1] < values[-2])
+    if minima > 1:
+        return float(grid[i_best]), float(values[i_best]), False, 0
+
+    def objective(tau):
+        return per_point(cls, fixed, n_ions, [tau], noise, rule)[0]
+
+    a = grid[max(i_best - 1, 0)]
+    b = grid[min(i_best + 1, coarse - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    steps = 0
+    while b - a > tol:
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = objective(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = objective(x2)
+        steps += 1
+    tau_opt = 0.5 * (a + b)
+    return float(tau_opt), float(objective(tau_opt)), True, steps
+
+
+def scalar_reduce(noise, rule, jy_sq, slope):
+    """One drive time's reduction in Python floats: (variance, slope,
+    delta_sq or +inf)."""
+    jy_sq_av = float(rule.weights @ jy_sq)
+    slope_av = float(rule.weights @ slope)
+    variance = jy_sq_av * noise.excess_noise_factor**2
+    slope_sq = slope_av**2
+    delta_sq = variance / slope_sq if slope_sq > 0.0 else math.inf
+    if not math.isfinite(delta_sq):
+        delta_sq = math.inf
+    return variance, slope_av, delta_sq
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestLockstepOptimizer:
+    """optimize_tau over many T is bitwise the scalar search of each T alone."""
+
+    # the non-unimodal classical grid of test_non_unimodal_grid_returns_grid_minimum
+    BIMODAL = dict(g=2 * math.pi * 3300.0, n_ions=78,
+                   noise=NoiseModel(sigma=2 * math.pi * 40.0, nbar=7.0, gamma=680.0))
+    # classical at T = 1.718 ms scores +inf at its largest grid tau
+    # (test_cli.py::TestTableCommands::test_efield_sweep_skips_non_finite_tau)
+    INF_POINT = dict(g=2 * math.pi * 4427.3, n_ions=44,
+                     noise=NoiseModel(sigma=2 * math.pi * 13.48, nbar=7.49, gamma=548.8))
+
+    def check_rows(self, family, Ts, g, noise, rule, n_ions):
+        got = optimize_tau(family, Ts, g, noise, rule, n_ions)
+        steps = []
+        for i, T in enumerate(Ts):
+            tau, dsq, refined, n_steps = golden_reference(family, T, g, noise, rule, n_ions)
+            assert bits(*got.row(i)) == bits(tau, dsq)
+            assert got.refined[i] == refined
+            steps.append(n_steps)
+        return got, steps
+
+    def test_reduction_is_the_scalar_one(self):
+        # about one slope in a thousand squares differently as an array
+        rng = np.random.default_rng(3)
+        rule = gauss_hermite_rule(2 * math.pi * 40.0, 64)
+        n_rows = 4000
+        jy_sq = rng.uniform(1.0, 1e4, (n_rows, 64))
+        slope = rng.normal(0.0, 1e3, (n_rows, 64))
+        slope[:3] = 0.0  # no signal
+        slope[3] = 1e-160  # delta_sq overflows
+        noise = NoiseModel(excess_noise_factor=1.18)
+        got = [sensitivity._reduce(noise, rule, *row) for row in zip(jy_sq, slope)]
+        for i in range(n_rows):
+            assert bits(*got[i]) == bits(*scalar_reduce(noise, rule, jy_sq[i], slope[i]))
+        delta_sq = np.array([row[2] for row in got])
+        assert np.isinf(delta_sq[:4]).all() and np.isfinite(delta_sq[4:]).all()
+
+    def test_named_sweep_box_bitwise(self):
+        rng = np.random.default_rng(12)
+        step_spreads = []
+        for draw in range(5):
+            t_min = rng.uniform(0.2, 1.0)
+            Ts = np.linspace(t_min, rng.uniform(t_min + 0.2, 2.0), int(rng.integers(2, 7))) * 1e-3
+            g = 2 * math.pi * rng.uniform(3000.0, 4500.0)
+            noise = NoiseModel(
+                sigma=2 * math.pi * rng.uniform(10.0, 60.0), nbar=rng.uniform(0.0, 8.0),
+                gamma=rng.uniform(200.0, 800.0),
+            )
+            rule = gauss_hermite_rule(noise.sigma, (32, 64)[draw % 2])
+            n_ions = int(rng.integers(20, 301))
+            for family in ("quantum", "classical"):
+                _, steps = self.check_rows(family, Ts, g, noise, rule, n_ions)
+                step_spreads.append(len(set(steps)))
+        # rows of one call close after different numbers of steps
+        assert max(step_spreads) > 1
+
+    def test_non_unimodal_row_among_refined_rows(self):
+        rule = gauss_hermite_rule(self.BIMODAL["noise"].sigma, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the batched form flags, it does not warn
+            got, _ = self.check_rows(
+                "classical", [1.0e-3, 1.9e-3, 1.3e-3], self.BIMODAL["g"],
+                self.BIMODAL["noise"], rule, self.BIMODAL["n_ions"],
+            )
+        assert got.refined.tolist() == [True, False, True]
+
+    def test_row_with_inf_grid_point(self, monkeypatch):
+        grids = []
+        batched = sensitivity._delta_sq_over_tau
+
+        def spy(spec, taus, noise, rule):
+            values = batched(spec, taus, noise, rule)
+            grids.append(values)
+            return values
+
+        monkeypatch.setattr(sensitivity, "_delta_sq_over_tau", spy)
+        p = self.INF_POINT
+        rule = gauss_hermite_rule(p["noise"].sigma, 64)
+        got, _ = self.check_rows("classical", [0.896e-3, 1.718e-3], p["g"], p["noise"], rule,
+                                 p["n_ions"])
+        assert got.refined.all()
+        assert np.isfinite(grids[0]).all() and np.isinf(grids[1][-1])
+
+    def test_row_without_finite_grid_point(self):
+        # a huge coupling at N = 2: the classical signal vanishes at every T,
+        # the quantum one from the fourth T on
+        noise = NoiseModel(sigma=2 * math.pi * 40.0, nbar=100.0, gamma=500.0)
+        rule = gauss_hermite_rule(noise.sigma, 16)
+        g, Ts = 2 * math.pi * 1e6, np.linspace(0.2e-3, 2.0e-3, 5)
+        quantum = optimize_tau("quantum", Ts, g, noise, rule, 2)
+        for i, T in enumerate(Ts):
+            if i < 3:
+                tau, dsq, _, _ = golden_reference("quantum", T, g, noise, rule, 2)
+                assert bits(*quantum.row(i)) == bits(tau, dsq)
+            else:
+                with pytest.raises(NumericalError, match=r"delta_sq\(quantum\) is not finite"):
+                    quantum.row(i)
+        classical = optimize_tau("classical", Ts, g, noise, rule, 2)
+        assert np.isnan(classical.tau_opt).all() and not classical.refined.any()
+
+    def test_tiny_tol_stops_at_float_spacing(self, monkeypatch):
+        calls = []
+        batched = sensitivity._delta_sq_rows
+
+        def spy(*args, **columns):
+            calls.append(len(columns["tau"]))
+            assert len(calls) < 1000, "golden-section search does not stop"
+            return batched(*args, **columns)
+
+        monkeypatch.setattr(sensitivity, "_delta_sq_rows", spy)
+        T = 5e-4
+        tau, dsq = optimize_tau("quantum", T, G, QUIET, RULE0, 150, tol=1e-30)
+        # one grid, the first two probes, ~70 steps to the float spacing, the final point
+        assert calls[0] == 64 and len(calls) < 120
+        tau_ref, dsq_ref = optimize_tau("quantum", T, G, QUIET, RULE0, 150)
+        assert tau == pytest.approx(tau_ref, abs=1e-7)
+        assert dsq <= dsq_ref * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-7, "1e-7"])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ConfigError, match="tol"):
+            optimize_tau("quantum", 1e-3, G, QUIET, RULE0, 150, tol=tol)
+
+    @pytest.mark.parametrize("coarse", [10.5, math.nan, "64"])
+    def test_non_integral_coarse_rejected(self, coarse):
+        with pytest.raises(ConfigError, match="coarse"):
+            optimize_tau("quantum", 1e-3, G, QUIET, RULE0, 150, coarse=coarse)
+
+    def test_integral_float_coarse_accepted(self):
+        assert optimize_tau("quantum", 1e-3, G, QUIET, RULE0, 150, coarse=16.0) == optimize_tau(
+            "quantum", 1e-3, G, QUIET, RULE0, 150, coarse=16
+        )
+
+    @pytest.mark.parametrize("T", [[1e-3, 0.0], [[1e-3]], [1e-3, math.nan]])
+    def test_bad_T_axis_rejected(self, T):
+        with pytest.raises(ConfigError, match="T must be"):
+            optimize_tau("quantum", T, G, QUIET, RULE0, 150)
+
+
 def signed(lo, hi):
     """Magnitudes in [lo, hi] of either sign."""
     return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(lambda t: t[0] * t[1])
