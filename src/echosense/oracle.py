@@ -6,7 +6,7 @@ The Hamiltonian evolved here is, per detuning delta,
 
 acting on (collective-spin ladder) x (truncated Fock space).  The collective
 sector suffices for Hamiltonian evolution because the initial state is
-permutation symmetric and every coupling is collective, so ``evolve_exact``
+permutation symmetric and every coupling is collective, so the exact oracle
 works on the (N+1)-dimensional ladder; per Jz eigenvalue the boson factor is a
 driven oscillator, evolved by exponentiating the truncated block Hamiltonian
 (numerical eigendecomposition, no Trotterization).  That Hamiltonian is
@@ -15,10 +15,9 @@ symmetric tridiagonal, so ``scipy.linalg.eigh_tridiagonal`` (MRRR) solves it
 and the propagation runs in real matmuls.  Kicks apply the real displacement
 unitary exp(beta (a^dag - a)), built from the gauged eigenpairs of a + a^dag.
 Parity (-1)^n maps the +m block at drive scale s onto the -m block at -s, so
-the drive-free run propagates only the m >= 0 blocks and each slope scale
-gives its negative for free.
+the run at zero drive propagates only the m >= 0 blocks.
 
-``evolve_lindblad`` solves the master equation with single-spin dephasing
+``evolve_lindblad_detail`` solves the master equation with single-spin dephasing
 jumps sigma_z^i at rate Gamma/4 while the spin-dependent drive is on.  It
 needs neither an ODE solver nor the 2^N spin product space.  In the product
 basis the Hamiltonian is block-diagonal, and the dephasing term multiplies the
@@ -31,9 +30,11 @@ Hamiltonian oracle's value with a fixed factor per distance
 against an independent RK45 integration of the full master equation for
 N = 2 to 4.
 
-Signal slopes are central finite differences in the drive amplitude with one
-step of Richardson extrapolation (step 1e-4 for kicks, 1e-4/duration for
-continuous drives), evaluated around the zero-amplitude working point.
+Signal slopes d<Jy>/ds in the drive scale s are exact derivatives at s = 0:
+the run carries the tangent dB/ds of every boson block beside the block.  A
+kick adds beta (a^dag - a) B to it; a segment with a drive eta adds the
+Frechet derivative of its exponential (Al-Mohy & Higham, SIAM J. Matrix Anal.
+Appl. 30, 1639 (2009)), built from the zero-drive eigenpairs.
 
 Hamiltonian runs abort with NumericalError when the ensemble-component
 population in the top two Fock levels exceeds ``leak_tol`` at any stage, or
@@ -46,13 +47,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .core import ConfigError, NumericalError, ProtocolSpec, PulseSchedule, Segment
-from .moments import SpinMoments
 
 __all__ = [
     "ThermalEnsemble",
@@ -60,17 +60,14 @@ __all__ = [
     "OracleMoments",
     "LindbladMoments",
     "default_fock_cutoff",
-    "evolve_exact",
     "evolve_exact_detail",
     "driven_moments",
     "final_state",
-    "evolve_lindblad",
     "evolve_lindblad_detail",
     "damped_by_dephasing",
 ]
 
 MAX_HAMILTONIAN_IONS = 12
-FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -107,10 +104,15 @@ class ThermalEnsemble:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
+        if not (w.ndim == 1 and w.size and np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+            raise ConfigError(f"ensemble weights must be finite, >= 0 and non-empty, not {w!r}")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ConfigError("ensemble weights must sum to 1")
-        if self.tail_mass >= 1e-10:
-            raise ConfigError("ensemble truncation tail exceeds 1e-10")
+        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
+            raise ConfigError(f"nbar must be finite and >= 0, not {self.nbar!r}")
+        tail = self.tail_mass
+        if not 0.0 <= tail < 1e-10:
+            raise ConfigError(f"ensemble truncation tail must be in [0, 1e-10), not {tail!r}")
 
 
 @dataclass(frozen=True)
@@ -130,29 +132,14 @@ class DickeBosonState:
         return float(np.sum(np.abs(self.amplitudes[:, -2:]) ** 2))
 
 
-class _SpinMomentsView:
-    """``as_spin_moments`` of the oracle records, which carry jx, jy, jy_sq and slope."""
-
-    def as_spin_moments(self) -> SpinMoments:
-        return SpinMoments(
-            jy_mean=self.jy,
-            jy_sq=self.jy_sq,
-            slope=self.slope,
-            jx_mean=self.jx,
-            in_domain=True,
-        )
-
-
 @dataclass(frozen=True)
-class OracleMoments(_SpinMomentsView):
-    """Exact-evolution moments plus the raw transverse pieces used in diagnostics."""
+class OracleMoments:
+    """Exact-evolution moments at zero drive, the drive slope, and diagnostics."""
 
     jx: float
     jy: float
     jy_sq: float
     slope: float
-    jplus: complex
-    jplus_sq: complex
     jpm_sym: float
     norm_error: float
     leakage: float
@@ -160,7 +147,7 @@ class OracleMoments(_SpinMomentsView):
 
 
 @dataclass(frozen=True)
-class LindbladMoments(_SpinMomentsView):
+class LindbladMoments:
     jx: float
     jy: float
     jy_sq: float
@@ -185,13 +172,9 @@ def _ladder_ops(n_ions: int) -> dict:
     jx = 0.5 * (jp + jm)
     jy = (jp - jm) / 2.0j
     return {
-        "m": m,
-        "jp": jp,
-        "jm": jm,
         "jx": jx,
         "jy": jy,
         "jy2": jy @ jy,
-        "jp2": jp @ jp,
         "jpm_sym": 0.5 * (jp @ jm + jm @ jp),
     }
 
@@ -274,20 +257,6 @@ def _timeline(schedule: PulseSchedule) -> list[tuple[str, object]]:
     return events
 
 
-def _drive_slope(jy_at: Callable[[float], float], unit_schedule: PulseSchedule) -> float:
-    """d<Jy>/d(drive amplitude) at zero drive from ``jy_at(drive_scale)``.
-
-    Central differences at steps h and h/2 combined by one Richardson step;
-    h = FD_STEP, divided by the schedule duration for continuous drives.
-    """
-    step = FD_STEP
-    if any(seg.eta != 0.0 for seg in unit_schedule.segments):
-        step = FD_STEP / unit_schedule.total_duration
-    d1 = (jy_at(step) - jy_at(-step)) / (2.0 * step)
-    d2 = (jy_at(step / 2.0) - jy_at(-step / 2.0)) / step
-    return (4.0 * d2 - d1) / 3.0
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian (collective-ladder) evolution
 # ---------------------------------------------------------------------------
@@ -339,6 +308,14 @@ class _BlockCache:
             self._kicks[beta] = np.where(quarter < 2, op, -op)
         return self._kicks[beta]
 
+    def generator(self, x: np.ndarray) -> np.ndarray:
+        """(a^dag - a) x along the Fock axis -2: the kick generator, real and
+        tridiagonal, applied as two shifts."""
+        out = np.zeros_like(x)
+        out[..., 1:, :] = self.sqrt_k[:, None] * x[..., :-1, :]
+        out[..., :-1, :] -= self.sqrt_k[:, None] * x[..., 1:, :]
+        return out
+
 
 class _ExactRun:
     """Validated setup shared by the exact-oracle entry points.
@@ -352,8 +329,9 @@ class _ExactRun:
     Parity P = diag((-1)^n) maps x and y to -x and -y, so
     P H_m(s) P = H_{-m}(-s) at drive scale s, and kicks follow the same rule.
     The columns e_n are parity eigenstates, so
-    B_{-m}(-s) = P B_m(s) diag((-1)^n) exactly: ``mirror`` and ``unfold``
-    give the -m blocks of a run without propagating them.
+    B_{-m}(-s) = P B_m(s) diag((-1)^n) exactly, and the tangents obey
+    dB_{-m}(-s) = -P dB_m(s) diag((-1)^n): ``mirror`` and ``unfold`` give the
+    -m blocks of a run without propagating them.
     """
 
     def __init__(
@@ -398,47 +376,62 @@ class _ExactRun:
         self.half_probs[self.m_values[self.half] == 0.0] /= 2.0
         self.probs = probs
         parity = 1.0 - 2.0 * (self.cache.levels % 2)
-        self.parity_sign = np.outer(parity, parity[:n_comp])
+        # columns [B | dB]: the tangent columns flip sign under the mirror
+        self.parity_sign = np.outer(parity, np.concatenate([parity[:n_comp], -parity[:n_comp]]))
 
     def mirror(self, blocks: np.ndarray) -> np.ndarray:
         """All N+1 blocks at drive scale -s from all N+1 blocks at +s."""
-        return blocks[::-1] * self.parity_sign
+        return blocks[::-1] * self.parity_sign[:, : blocks.shape[2]]
 
     def unfold(self, half: np.ndarray) -> np.ndarray:
-        """All N+1 blocks from the m >= 0 half of a drive-free run."""
+        """All N+1 blocks from the m >= 0 half of a run at zero drive."""
         n_neg = self.n_ions + 1 - len(self.half)
         return np.concatenate([self.mirror(half)[:n_neg], half])
+
+    def _unit_blocks(self, n_blocks: int) -> np.ndarray:
+        blocks = np.zeros((n_blocks, self.n_cut + 1, self.n_comp), dtype=complex)
+        blocks[:] = np.eye(self.n_cut + 1)[:, : self.n_comp]
+        return blocks
 
     def propagate(
         self,
         events: list[tuple[str, object]],
-        blocks: Optional[np.ndarray] = None,
         mirrored: bool = False,
+        tangent: bool = False,
     ) -> np.ndarray:
-        """Evolve the boson columns through ``_timeline`` events for every Jz block.
+        """Evolve the unit boson columns e_0..e_{n_comp-1} through ``_timeline``
+        events for every Jz block; shape (n_blocks, n_cut+1, n_comp).
 
-        ``blocks`` (default: the unit columns) has shape (n_blocks, n_cut+1,
-        n_comp) for all N+1 blocks, or for the m >= 0 half when ``mirrored``
-        (drive-free events only).  Leakage is checked after every segment and
-        kick, per ensemble component.
+        With ``tangent`` the events run at drive scale s = 0 and the result
+        has 2 n_comp columns [B | dB], dB = dB/ds for every drive (kick beta,
+        segment eta) scaled by s.  ``mirrored`` propagates the m >= 0 half
+        only, which needs zero drive: ``tangent`` or drive-free events.
+        Leakage of B is checked after every segment and kick, per ensemble
+        component.
         """
+        n_comp = self.n_comp
         m_values = self.m_values[self.half] if mirrored else self.m_values
         probs = self.half_probs if mirrored else self.probs
+        blocks = None
         for kind_name, event in events:
             if kind_name == "segment":
                 if event.duration == 0.0:
                     continue
-                blocks = self._segment(blocks, m_values, event)
+                blocks = self._segment(blocks, m_values, event, tangent)
+            elif event.beta == 0.0:
+                continue
             else:
-                if event.beta == 0.0:
-                    continue
-                kick = self.cache.kick(event.beta)
-                if blocks is None:
-                    blocks = np.repeat(kick[None, :, : self.n_comp], len(m_values), axis=0)
-                    blocks = blocks.astype(complex)
+                blocks = self._unit_blocks(len(m_values)) if blocks is None else blocks
+                if not tangent:
+                    blocks = _real_matmul(self.cache.kick(event.beta), blocks)
                 else:
-                    blocks = _real_matmul(kick, blocks)
-            leak = np.einsum("a,akn->n", probs, np.abs(blocks[:, -2:, :]) ** 2)
+                    # d/ds exp(s beta (a^dag - a)) at s = 0; B itself is unchanged
+                    step = event.beta * self.cache.generator(blocks[..., :n_comp])
+                    if blocks.shape[2] == n_comp:
+                        blocks = np.concatenate([blocks, step], axis=2)
+                    else:
+                        blocks[..., n_comp:] += step
+            leak = np.einsum("a,akn->n", probs, np.abs(blocks[:, -2:, :n_comp]) ** 2)
             worst = float(np.max(leak))
             if worst > self.leak_tol:
                 raise NumericalError(
@@ -447,25 +440,33 @@ class _ExactRun:
                 )
             self.worst_leak = max(self.worst_leak, worst)
         if blocks is None:
-            blocks = np.zeros((len(m_values), self.n_cut + 1, self.n_comp), dtype=complex)
-            blocks[:] = np.eye(self.n_cut + 1)[:, : self.n_comp]
+            blocks = self._unit_blocks(len(m_values))
+        if tangent and blocks.shape[2] == n_comp:
+            blocks = np.concatenate([blocks, np.zeros_like(blocks)], axis=2)
         return blocks
 
     def _segment(
-        self, blocks: Optional[np.ndarray], m_values: np.ndarray, seg: Segment
+        self, blocks: Optional[np.ndarray], m_values: np.ndarray, seg: Segment, tangent: bool
     ) -> np.ndarray:
         """exp(-i H_m t) B_m = D W e^{-i lam t} W^T D^H B_m per block; blocks
-        that share r share one real matmul pair."""
+        that share r share one real matmul pair.  With ``tangent`` the
+        segment runs at eta = 0 and its drive enters the tangent columns
+        (``_duhamel``)."""
         n_comp, cache, levels = self.n_comp, self.cache, self.cache.levels
+        eta = 0.0 if tangent else seg.eta
+        duhamel = tangent and seg.eta != 0.0
+        n_in = n_comp if blocks is None else blocks.shape[2]
+        n_out = 2 * n_comp if duhamel else n_in
         couplings = seg.g * m_values / math.sqrt(self.n_ions)
         groups: dict[float, list[int]] = {}
         for i, c in enumerate(couplings):
-            groups.setdefault(math.hypot(c, seg.eta), []).append(i)
-        out = np.empty((len(m_values), self.n_cut + 1, n_comp), dtype=complex)
+            groups.setdefault(math.hypot(c, eta), []).append(i)
+        out = np.empty((len(m_values), self.n_cut + 1, n_out), dtype=complex)
         for r, rows in groups.items():
             lam, vec = cache.eig(r)
             # D = diag(e^{i k phi}) with c - i eta = r e^{-i phi}
-            gauges = [np.exp(1.0j * math.atan2(seg.eta, couplings[i]) * levels) for i in rows]
+            phis = [math.atan2(eta, couplings[i]) for i in rows]
+            gauges = [np.exp(1.0j * phi * levels) for phi in phis]
             if blocks is None:
                 # W^T D^H e_n is row n of W times conj(D_n)
                 z = np.concatenate([vec[:n_comp].T * d[:n_comp].conj() for d in gauges], axis=1)
@@ -474,32 +475,68 @@ class _ExactRun:
                     [d.conj()[:, None] * blocks[i] for i, d in zip(rows, gauges)], axis=1
                 )
                 z = _real_matmul(vec.T, z)
-            z *= np.exp(-1.0j * lam * seg.duration)[:, None]
+            if duhamel:
+                z = self._duhamel(z, lam, vec, seg, np.cos(phis))
+            else:
+                z *= np.exp(-1.0j * lam * seg.duration)[:, None]
             z = _real_matmul(vec, z)
             for j, (i, d) in enumerate(zip(rows, gauges)):
-                out[i] = d[:, None] * z[:, j * n_comp : (j + 1) * n_comp]
+                out[i] = d[:, None] * z[:, j * n_out : (j + 1) * n_out]
         return out
+
+    def _duhamel(
+        self, z: np.ndarray, lam: np.ndarray, vec: np.ndarray, seg: Segment, signs: np.ndarray
+    ) -> np.ndarray:
+        """e^{-i lam t} [z_B | z_dB] plus the drive's first-order term in the
+        tangent columns, for one r-group at zero drive; z = W^T D^H [B | dB]
+        has shape (levels, rows * n_in) and the result (levels, rows * 2 n_comp),
+        one sign per row.
+
+        d/ds e^{-i (H + s G) t} = D W (Psi o W^T G' W) W^T D^H (Frechet
+        derivative), Psi_jk = -i t e^{-i (lam_j + lam_k) t/2}
+        sinc((lam_j - lam_k) t/2), G' = D^H G D = sign * eta y with
+        D = diag(sign^k) at zero drive.  W^T y W = i W^T (a^dag - a) W = i A,
+        A real antisymmetric, so Psi o (i sign eta A) is
+        sign eta t diag(e) (A o sinc) diag(e) with e = e^{-i lam t/2}.
+        """
+        n_comp, t = self.n_comp, seg.duration
+        z = z.reshape(len(lam), len(signs), -1)
+        half_step = np.exp(-0.5j * lam * t)[:, None, None]
+        kernel = (vec.T @ self.cache.generator(vec)) * np.sinc(
+            np.subtract.outer(lam, lam) * (t / (2.0 * math.pi))
+        )
+        source = z[:, :, :n_comp] * half_step * (seg.eta * t * signs)[:, None]
+        out = np.zeros((len(lam), z.shape[1], 2 * n_comp), dtype=complex)
+        out[:, :, : z.shape[2]] = z
+        out *= np.exp(-1.0j * lam * t)[:, None, None]
+        response = _real_matmul(kernel, source.reshape(len(lam), -1)).reshape(source.shape)
+        out[:, :, n_comp:] += half_step * response
+        return out.reshape(len(lam), -1)
 
     def moments(self, blocks: np.ndarray) -> dict:
         """Ensemble-averaged moments of the final boson blocks (needs
-        ``n_comp`` equal to the ensemble length)."""
-        css, ops = self.css, self.ops
+        ``n_comp`` equal to the ensemble length); from [B | dB] blocks also
+        the slope d<Jy>/ds = 2 Re css^T (Jy o <B, dB>_w) css."""
+        css, ops, n_comp = self.css, self.ops, self.n_comp
+        root_w = np.sqrt(self.weights)
         # ensemble-weighted overlaps sum_n w_n <B_a e_n, B_b e_n> of the Jz blocks
-        scaled = (blocks * np.sqrt(self.weights)).reshape(len(blocks), -1)
+        scaled = (blocks[..., :n_comp] * root_w).reshape(len(blocks), -1)
         overlap = scaled.conj() @ scaled.T
 
-        def expect(op: np.ndarray) -> complex:
-            return complex(css.conj() @ (op * overlap) @ css)
+        def expect(op: np.ndarray, gram: np.ndarray = overlap) -> complex:
+            return complex(css.conj() @ (op * gram) @ css)
 
-        return {
+        out = {
             "norm": expect(np.eye(len(css), dtype=complex)).real,
             "jx": expect(ops["jx"]).real,
             "jy": expect(ops["jy"]).real,
             "jy_sq": expect(ops["jy2"]).real,
-            "jplus": expect(ops["jp"]),
-            "jplus_sq": expect(ops["jp2"]),
             "jpm_sym": expect(ops["jpm_sym"]).real,
         }
+        if blocks.shape[2] > n_comp:
+            tangent = (blocks[..., n_comp:] * root_w).reshape(len(blocks), -1)
+            out["slope"] = 2.0 * expect(ops["jy"], scaled.conj() @ tangent.T).real
+        return out
 
 
 def evolve_exact_detail(
@@ -509,66 +546,29 @@ def evolve_exact_detail(
     initial: Optional[ThermalEnsemble] = None,
     leak_tol: float = 1e-10,
 ) -> OracleMoments:
-    """Exact Hamiltonian evolution; returns moments, slope, and raw diagnostics.
+    """Exact Hamiltonian evolution: moments at zero drive, the drive slope
+    d<Jy>/ds of the unit-drive schedule at s = 0, and raw diagnostics.
 
-    The events before the first drive-dependent one are the same at every
-    drive scale and are propagated once.  Drive-free runs propagate the
-    m >= 0 blocks only; each drive scale s > 0 of the slope propagates all
-    blocks and gives the -s run by parity (``_ExactRun.mirror``).
+    One run propagates the m >= 0 blocks at zero drive with their tangents
+    dB/ds beside them (``_ExactRun.propagate``); parity gives the -m blocks.
+    The slope is exact up to rounding, with no finite-difference step.
     """
-    unit = spec.variant.unit_drive()
-    run = _ExactRun(spec, delta, unit.schedule(1.0), n_cut, initial, leak_tol)
-    events = _timeline(unit.schedule(1.0))
-    n_free = next(
-        (i for i, (kind, ev) in enumerate(events)
-         if (ev.beta if kind == "kick" else ev.eta) != 0.0),
-        len(events),
-    )
-    half = full = None
-    if n_free:
-        half = run.propagate(events[:n_free], mirrored=True)
-        full = run.unfold(half)
-    at_zero = run.moments(
-        run.unfold(run.propagate(_timeline(unit.schedule(0.0))[n_free:], half, mirrored=True))
-    )
-    norm_error = abs(at_zero["norm"] - 1.0)
+    unit = spec.variant.unit_drive().schedule(1.0)
+    run = _ExactRun(spec, delta, unit, n_cut, initial, leak_tol)
+    final = run.moments(run.unfold(run.propagate(_timeline(unit), mirrored=True, tangent=True)))
+    norm_error = abs(final["norm"] - 1.0)
     if not norm_error <= 1e-10:
         raise NumericalError(f"norm drift {norm_error:.3e} exceeds 1e-10")
-
-    jy: dict[float, float] = {}
-
-    def jy_at(scale: float) -> float:
-        if scale not in jy:
-            blocks = run.propagate(_timeline(unit.schedule(abs(scale)))[n_free:], full)
-            jy[abs(scale)] = run.moments(blocks)["jy"]
-            jy[-abs(scale)] = run.moments(run.mirror(blocks))["jy"]
-        return jy[scale]
-
-    slope = _drive_slope(jy_at, unit.schedule(1.0))
-
     return OracleMoments(
-        jx=at_zero["jx"],
-        jy=at_zero["jy"],
-        jy_sq=at_zero["jy_sq"],
-        slope=slope,
-        jplus=at_zero["jplus"],
-        jplus_sq=at_zero["jplus_sq"],
-        jpm_sym=at_zero["jpm_sym"],
+        jx=final["jx"],
+        jy=final["jy"],
+        jy_sq=final["jy_sq"],
+        slope=final["slope"],
+        jpm_sym=final["jpm_sym"],
         norm_error=norm_error,
         leakage=run.worst_leak,
         n_cut=run.n_cut,
     )
-
-
-def evolve_exact(
-    spec: ProtocolSpec,
-    delta: float,
-    n_cut: Optional[int] = None,
-    initial: Optional[ThermalEnsemble] = None,
-    leak_tol: float = 1e-10,
-) -> SpinMoments:
-    """Exact spin moments (jx, jy, jy^2) and drive slope for a protocol at fixed detuning."""
-    return evolve_exact_detail(spec, delta, n_cut, initial, leak_tol).as_spin_moments()
 
 
 def driven_moments(
@@ -580,9 +580,9 @@ def driven_moments(
 ) -> dict:
     """Final-state moments with the protocol's own drive amplitudes applied.
 
-    Unlike ``evolve_exact`` (which evaluates the zero-drive working point and
-    the first-order slope), this propagates the schedule exactly as given and
-    returns {"jx", "jy", "jy_sq", "jplus", "jplus_sq", "jpm_sym", "norm"}.
+    Unlike ``evolve_exact_detail`` (the zero-drive working point and the
+    first-order slope), this propagates the schedule exactly as given and
+    returns {"jx", "jy", "jy_sq", "jpm_sym", "norm"}.
     """
     schedule = spec.schedule(1.0)
     run = _ExactRun(spec, delta, schedule, n_cut, initial, leak_tol)
@@ -656,13 +656,3 @@ def evolve_lindblad_detail(
     )
     return damped_by_dephasing(exact, spec.n_ions, gamma, spec.schedule().odf_on_time)
 
-
-def evolve_lindblad(
-    spec: ProtocolSpec,
-    delta: float,
-    n_cut: Optional[int] = None,
-    nbar: float = 0.0,
-    gamma: float = 0.0,
-) -> SpinMoments:
-    """Master-equation spin moments and drive slope."""
-    return evolve_lindblad_detail(spec, delta, n_cut, nbar, gamma).as_spin_moments()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from scipy.integrate import solve_ivp
 from echosense.core import (
     ClassicalEField,
     ConfigError,
+    Custom,
     Displacement,
+    Kick,
     NoiseModel,
     NumericalError,
     ProtocolSpec,
+    PulseSchedule,
     QuantumEField,
     ReadoutOnly,
+    Segment,
 )
 from echosense.kernels import (
     kernels_classical_efield,
@@ -23,19 +28,32 @@ from echosense.kernels import (
 from echosense.moments import deformed_transverse_invariant, moments_at_detuning
 from echosense.oracle import (
     ThermalEnsemble,
-    _drive_slope,
     _ExactRun,
     _timeline,
     damped_by_dephasing,
     default_fock_cutoff,
     driven_moments,
-    evolve_exact,
     evolve_exact_detail,
     evolve_lindblad_detail,
     final_state,
 )
 
 G = 2 * math.pi * 3910.0
+FD_STEP = 1e-4
+
+
+def _drive_slope(jy_at, unit_schedule) -> float:
+    """Reference d<Jy>/d(drive amplitude) at zero drive from ``jy_at(drive_scale)``.
+
+    Central differences at steps h and h/2 combined by one Richardson step;
+    h = FD_STEP, divided by the schedule duration for continuous drives.
+    """
+    step = FD_STEP
+    if any(seg.eta != 0.0 for seg in unit_schedule.segments):
+        step = FD_STEP / unit_schedule.total_duration
+    d1 = (jy_at(step) - jy_at(-step)) / (2.0 * step)
+    d2 = (jy_at(step / 2.0) - jy_at(-step / 2.0)) / step
+    return (4.0 * d2 - d1) / 3.0
 
 
 class _RK45Lindblad:
@@ -199,6 +217,9 @@ class TestThermalEnsemble:
     def test_bad_nbar_rejected(self, nbar):
         with pytest.raises(ConfigError):
             ThermalEnsemble.from_nbar(nbar)
+        # a NaN nbar used to end in a bare ValueError, a negative one passed
+        with pytest.raises(ConfigError, match="nbar"):
+            ThermalEnsemble(weights=np.array([1.0]), nbar=nbar, tail_mass=0.0)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ConfigError):
@@ -206,13 +227,30 @@ class TestThermalEnsemble:
         with pytest.raises(ConfigError):
             ThermalEnsemble(weights=np.array([1.0]), nbar=0.0, tail_mass=1e-9)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.5, -0.5], [math.nan], [math.inf, -math.inf], [], [[0.5, 0.5]]],
+        ids=["negative", "nan", "inf", "empty", "2d"],
+    )
+    def test_bad_weight_values_rejected(self, weights):
+        # [1.5, -0.5] and [nan] used to fail later as a norm drift, with a
+        # sqrt warning on the way
+        with pytest.raises(ConfigError, match="weights"):
+            ThermalEnsemble(weights=np.array(weights), nbar=0.0, tail_mass=0.0)
+
+    @pytest.mark.parametrize("tail_mass", [math.nan, math.inf, -1e-12])
+    def test_bad_tail_mass_rejected(self, tail_mass):
+        # a NaN tail used to pass, and the run returned numbers
+        with pytest.raises(ConfigError, match="tail"):
+            ThermalEnsemble(weights=np.array([1.0]), nbar=0.0, tail_mass=tail_mass)
+
 
 class TestExactEvolution:
     def test_perfect_echo(self):
         tau = 1.0 / G
-        mom = evolve_exact(ProtocolSpec(Displacement(G, tau, 0.0), 2), 0.0)
-        assert mom.jy_sq == pytest.approx(0.5, abs=1e-10)
-        assert mom.jx_mean == pytest.approx(1.0, abs=1e-10)
+        det = evolve_exact_detail(ProtocolSpec(Displacement(G, tau, 0.0), 2), 0.0)
+        assert det.jy_sq == pytest.approx(0.5, abs=1e-10)
+        assert det.jx == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n_ions,nbar", [(2, 0.0), (4, 0.5)])
     def test_matches_closed_forms(self, n_ions, nbar):
@@ -315,11 +353,11 @@ class TestExactEvolution:
     def test_leakage_abort(self):
         spec = ProtocolSpec(Displacement(G, 3.0 / G, 0.0), 6)
         with pytest.raises(NumericalError):
-            evolve_exact(spec, 0.2 * G, n_cut=4)
+            evolve_exact_detail(spec, 0.2 * G, n_cut=4)
 
     def test_ion_cap(self):
         with pytest.raises(ConfigError):
-            evolve_exact(ProtocolSpec(Displacement(G, 1e-4, 0.0), 13), 0.0)
+            evolve_exact_detail(ProtocolSpec(Displacement(G, 1e-4, 0.0), 13), 0.0)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_detuning_rejected(self, delta):
@@ -387,6 +425,58 @@ class TestStructuredCore:
         zero = _timeline(unit.schedule(0.0))
         half = run.propagate(zero, mirrored=True)
         assert np.max(np.abs(run.unfold(half) - run.propagate(zero))) <= 1e-13
+        # the tangents at s = 0, all blocks propagated directly:
+        # dB_{-m} = -P dB_m diag((-1)^n), per unit kick or unit eta * duration
+        events = _timeline(unit.schedule())
+        n = run.n_comp
+        full = run.propagate(events, tangent=True)
+        full[:, :, n:] *= scale / 0.3
+        parity = 1.0 - 2.0 * (np.arange(run.n_cut + 1) % 2)
+        mirrored = -parity[:, None] * full[::-1, :, n:] * parity[:n]
+        assert np.max(np.abs(full[:, :, n:])) > 1e-3
+        assert np.max(np.abs(full[:, :, n:] - mirrored)) <= 1e-13
+        assert np.max(np.abs(full[:, :, :n] - run.unfold(half))) <= 1e-13
+        tangent_half = run.propagate(events, mirrored=True, tangent=True)
+        tangent_half[:, :, n:] *= scale / 0.3
+        assert np.max(np.abs(run.unfold(tangent_half) - full)) <= 1e-13
+
+    @pytest.mark.parametrize("nbar", [0.0, 1.0])
+    @pytest.mark.parametrize("n_ions", [3, 8, 12])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_tangent_slope_matches_finite_drive(self, protocol, n_ions, nbar):
+        # the tangent slope against a Richardson difference of driven_moments,
+        # which propagates dense kicks and eta != 0 eigenpairs at finite drive
+        variant = _protocol(protocol, np.random.default_rng([11, PROTOCOLS.index(protocol)]))
+        ens = ThermalEnsemble.from_nbar(nbar)
+        delta = 0.11 * G
+        det = evolve_exact_detail(ProtocolSpec(variant, n_ions), delta, initial=ens)
+
+        def jy_at(scale: float) -> float:
+            spec = ProtocolSpec(replace(variant, **{variant.drive: scale}), n_ions)
+            return driven_moments(spec, delta, n_cut=det.n_cut, initial=ens)["jy"]
+
+        ref = _drive_slope(jy_at, variant.unit_drive().schedule())
+        assert det.slope == pytest.approx(ref, rel=1e-9)
+
+    def test_tangent_slope_custom_schedule(self):
+        # two kicks and three driven segments: the tangent accumulates over
+        # kicks and Duhamel terms that meet a nonzero incoming tangent
+        tau = 0.4 / G
+        schedule = PulseSchedule(
+            segments=(Segment(tau, G, 300.0), Segment(tau, 0.0, -200.0), Segment(tau, -G, 500.0)),
+            kicks=(Kick(0.5 * tau, 0.02), Kick(2.0 * tau, -0.03)),
+        )
+        ens = ThermalEnsemble.from_nbar(0.5)
+        delta = 0.11 * G
+        det = evolve_exact_detail(ProtocolSpec(Custom(schedule), 4), delta, initial=ens)
+
+        def jy_at(scale: float) -> float:
+            spec = ProtocolSpec(Custom(schedule.scaled_drive(scale)), 4)
+            return driven_moments(spec, delta, n_cut=det.n_cut, initial=ens)["jy"]
+
+        assert det.slope == pytest.approx(_drive_slope(jy_at, schedule), rel=1e-9)
+        ref = _dense_exact(ProtocolSpec(Custom(schedule), 4), delta, det.n_cut, 0.5)
+        assert det.slope == pytest.approx(ref["slope"], rel=1e-9)
 
 
 G_E = 2 * math.pi * 3880.0
