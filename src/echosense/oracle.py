@@ -36,14 +36,19 @@ kick adds beta (a^dag - a) B to it; a segment with a drive eta adds the
 Frechet derivative of its exponential (Al-Mohy & Higham, SIAM J. Matrix Anal.
 Appl. 30, 1639 (2009)), built from the zero-drive eigenpairs.
 
-Hamiltonian runs abort with NumericalError when the ensemble-component
-population in the top two Fock levels exceeds ``leak_tol`` at any stage, or
-when the norm of the zero-drive final state drifts by more than 1e-10;
-Lindblad runs keep the norm check and skip the leakage one.
+Each Jz block has its own Fock cutoff, sized by its own coherent excursion on
+the zero-drive schedule the run propagates (``default_fock_cutoff``; the
+tangent reaches one level further), and the blocks share one zero-padded
+array.  Hamiltonian runs abort with NumericalError when the CSS-weighted
+population of the blocks' top two Fock levels in any ensemble column of B or
+of its tangent dB, relative to that column's norm, exceeds ``leak_tol`` at
+any stage, or when the norm of the zero-drive final state drifts by more than
+1e-10; Lindblad runs keep the norm check and skip the leakage one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -56,18 +61,17 @@ from .core import ConfigError, NumericalError, ProtocolSpec, PulseSchedule, Segm
 
 __all__ = [
     "ThermalEnsemble",
-    "DickeBosonState",
     "OracleMoments",
     "LindbladMoments",
     "default_fock_cutoff",
     "evolve_exact_detail",
     "driven_moments",
-    "final_state",
     "evolve_lindblad_detail",
     "damped_by_dephasing",
 ]
 
 MAX_HAMILTONIAN_IONS = 12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,10 @@ class ThermalEnsemble:
         ratio = nbar / (nbar + 1.0)
         # keep n = 0..n_keep-1 with tail ratio**n_keep < tail_tol
         n_keep = max(1, math.ceil(math.log(tail_tol) / math.log(ratio)))
-        n = np.arange(n_keep)
-        w = (1.0 / (nbar + 1.0)) * ratio**n
-        tail = ratio**n_keep
-        if tail >= tail_tol:
+        if ratio**n_keep >= tail_tol:
             n_keep += 1
-            n = np.arange(n_keep)
-            w = (1.0 / (nbar + 1.0)) * ratio**n
-            tail = ratio**n_keep
-        return cls(weights=w / w.sum(), nbar=nbar, tail_mass=tail)
+        w = (1.0 / (nbar + 1.0)) * ratio ** np.arange(n_keep)
+        return cls(weights=w / w.sum(), nbar=nbar, tail_mass=ratio**n_keep)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -116,25 +115,10 @@ class ThermalEnsemble:
 
 
 @dataclass(frozen=True)
-class DickeBosonState:
-    """Pure state on (spin ladder) x (Fock), amplitudes indexed [m, n]."""
-
-    amplitudes: np.ndarray
-    n_ions: int
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    @property
-    def top_level_population(self) -> float:
-        """Population in the top two Fock levels (truncation leakage proxy)."""
-        return float(np.sum(np.abs(self.amplitudes[:, -2:]) ** 2))
-
-
-@dataclass(frozen=True)
 class OracleMoments:
-    """Exact-evolution moments at zero drive, the drive slope, and diagnostics."""
+    """Exact-evolution moments at zero drive, the drive slope, and diagnostics:
+    ``leakage`` is the worst gated top-two-level population (B and dB) and
+    ``n_cut`` the largest block Fock cutoff."""
 
     jx: float
     jy: float
@@ -162,23 +146,22 @@ class LindbladMoments:
 # ---------------------------------------------------------------------------
 
 
-def _ladder_ops(n_ions: int) -> dict:
+_MOMENTS = ("norm", "jx", "jy", "jy_sq", "jpm_sym")
+
+
+@functools.cache
+def _ladder_ops(n_ions: int) -> np.ndarray:
+    """The operators of ``_MOMENTS`` on the Dicke ladder, stacked: 1, Jx, Jy,
+    Jy^2 and (J+J- + J-J+)/2."""
     j = n_ions / 2.0
-    m = np.arange(n_ions + 1) - j
-    jp = np.zeros((n_ions + 1, n_ions + 1))
-    for k in range(n_ions):
-        jp[k + 1, k] = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    jm = jp.T.copy()
-    jx = 0.5 * (jp + jm)
+    m = np.arange(n_ions) - j
+    jp = np.diag(np.sqrt(j * (j + 1) - m * (m + 1)), -1)
+    jm = jp.T
     jy = (jp - jm) / 2.0j
-    return {
-        "jx": jx,
-        "jy": jy,
-        "jy2": jy @ jy,
-        "jpm_sym": 0.5 * (jp @ jm + jm @ jp),
-    }
+    return np.array([np.eye(n_ions + 1), 0.5 * (jp + jm), jy, jy @ jy, 0.5 * (jp @ jm + jm @ jp)])
 
 
+@functools.cache
 def _css_amplitudes(n_ions: int) -> np.ndarray:
     c = np.array([math.comb(n_ions, k) for k in range(n_ions + 1)], dtype=float)
     return np.sqrt(c) / 2.0 ** (n_ions / 2.0)
@@ -210,22 +193,29 @@ def default_fock_cutoff(
     delta: float,
     n_ions: int,
     ensemble: ThermalEnsemble,
-) -> int:
-    """Fock cutoff: thermal band, worst-block coherent excursion, and tail margin.
+) -> np.ndarray:
+    """Fock cutoff of every Jz block m = -N/2..N/2: thermal band, the block's
+    own coherent excursion, and a tail margin.
 
-    The most-displaced spin block reaches |alpha| = (sqrt(N)/2) max_t|h(t)|;
-    continuous drives and kicks add their integrated amplitude.  The margin
-    keeps the top-two-level population of a displaced Fock state at the top
-    of the thermal band far below 1e-10 (verified post hoc by the leakage
-    assertion).
+    Block m reaches |alpha_m| = (|m|/sqrt(N)) max_t|h(t)|; continuous drives
+    and kicks add their integrated amplitude to every block.  The cutoff is
+    n_ens - 1 + alpha_m^2 + 4 alpha_m sqrt(n_ens + 1) + 24, and at least
+    8 (nbar + 1) + alpha_m^2 + 20, rounded up: it keeps the top-two-level
+    population of a displaced Fock state at the top of the thermal band far
+    below 1e-10, and it grows with |m|.  ``evolve_exact_detail`` sizes from the
+    zero-drive schedule, the only one it propagates: the tangent dB/ds is one
+    application of the drive generator (a^dag - a) to B, so it reaches one
+    level beyond B, well inside the margin.  The leakage gates on B and dB
+    verify every cutoff post hoc.
     """
     n_ens = len(ensemble.weights)
-    alpha = (math.sqrt(n_ions) / 2.0) * _max_h_amplitude(schedule, delta)
-    alpha += sum(abs(seg.eta) * seg.duration for seg in schedule.segments)
-    alpha += sum(abs(k.beta) for k in schedule.kicks)
-    margin = math.ceil(4.0 * alpha**2 + 8.0 * alpha * math.sqrt(n_ens + 1.0) + 24.0)
-    floor = math.ceil(8.0 * (ensemble.nbar + 1.0) + 4.0 * alpha**2 + 20.0)
-    return max(n_ens - 1 + margin, floor)
+    drive = sum(abs(seg.eta) * seg.duration for seg in schedule.segments)
+    drive += sum(abs(k.beta) for k in schedule.kicks)
+    reach = _max_h_amplitude(schedule, delta) / math.sqrt(n_ions)
+    alpha = reach * np.abs(np.arange(n_ions + 1) - n_ions / 2.0) + drive
+    margin = np.ceil(alpha**2 + 4.0 * alpha * math.sqrt(n_ens + 1.0) + 24.0)
+    floor = np.ceil(8.0 * (ensemble.nbar + 1.0) + alpha**2 + 20.0)
+    return np.maximum(n_ens - 1 + margin, floor).astype(int)
 
 
 def _timeline(schedule: PulseSchedule) -> list[tuple[str, object]]:
@@ -274,46 +264,47 @@ class _BlockCache:
     The block Hamiltonian -delta n + c x + eta y has the off-diagonal
     sqrt(k) (c - i eta) = sqrt(k) r e^{-i phi}.  With D = diag(e^{i k phi}) it
     is D T D^H, T real symmetric tridiagonal with diagonal -delta k and
-    off-diagonal r sqrt(k), so the eigenpairs of T depend on r alone and
-    serve the +m and -m blocks of a segment alike.
+    off-diagonal r sqrt(k), so the eigenpairs of T depend on r and the block's
+    cutoff n alone and serve the +m and -m blocks of a segment alike.
     """
 
     def __init__(self, delta: float, n_cut: int):
         self.levels = np.arange(n_cut + 1)
         self.sqrt_k = np.sqrt(self.levels[1:].astype(float))
         self.delta = delta
-        self._eigs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._kicks: dict[float, np.ndarray] = {}
-        self._x_eig: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._eigs: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._kicks: dict[tuple[float, int], np.ndarray] = {}
 
-    def eig(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        if r not in self._eigs:
-            self._eigs[r] = eigh_tridiagonal(-self.delta * self.levels, r * self.sqrt_k)
-        return self._eigs[r]
+    def eig(self, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of T on Fock levels 0..n."""
+        if (r, n) not in self._eigs:
+            self._eigs[r, n] = eigh_tridiagonal(-self.delta * self.levels[: n + 1],
+                                                r * self.sqrt_k[:n])
+        return self._eigs[r, n]
 
-    def kick(self, beta: float) -> np.ndarray:
-        """The real matrix exp(beta (a^dag - a)) = D exp(-i beta x) D^H, D = diag(i^k).
+    def kick(self, beta: float, n: int) -> np.ndarray:
+        """The real matrix exp(beta (a^dag - a)) = D exp(-i beta x) D^H, D = diag(i^k),
+        on Fock levels 0..n.
 
         With exp(-i beta x) = A - iB (A, B real, from the eigenpairs of x), the
         (j, k) element is A, B, -A, -B for j - k = 0, 1, 2, 3 (mod 4).
         """
-        if beta not in self._kicks:
-            if self._x_eig is None:
-                self._x_eig = eigh_tridiagonal(np.zeros(len(self.levels)), self.sqrt_k)
-            mu, vec = self._x_eig
+        if (beta, n) not in self._kicks:
+            mu, vec = eigh_tridiagonal(np.zeros(n + 1), self.sqrt_k[:n])
             cos_part = (vec * np.cos(beta * mu)) @ vec.T
             sin_part = (vec * np.sin(beta * mu)) @ vec.T
-            quarter = np.subtract.outer(self.levels, self.levels) % 4
+            quarter = (self.levels[: n + 1, None] - self.levels[: n + 1]) % 4
             op = np.where(quarter % 2 == 0, cos_part, sin_part)
-            self._kicks[beta] = np.where(quarter < 2, op, -op)
-        return self._kicks[beta]
+            self._kicks[beta, n] = np.where(quarter < 2, op, -op)
+        return self._kicks[beta, n]
 
     def generator(self, x: np.ndarray) -> np.ndarray:
-        """(a^dag - a) x along the Fock axis -2: the kick generator, real and
-        tridiagonal, applied as two shifts."""
+        """(a^dag - a) x along the Fock axis -2, truncated to its length: the
+        kick generator, real and tridiagonal, applied as two shifts."""
+        sqrt_k = self.sqrt_k[: x.shape[-2] - 1, None]
         out = np.zeros_like(x)
-        out[..., 1:, :] = self.sqrt_k[:, None] * x[..., :-1, :]
-        out[..., :-1, :] -= self.sqrt_k[:, None] * x[..., 1:, :]
+        out[..., 1:, :] = sqrt_k * x[..., :-1, :]
+        out[..., :-1, :] -= sqrt_k * x[..., 1:, :]
         return out
 
 
@@ -321,28 +312,31 @@ class _ExactRun:
     """Validated setup shared by the exact-oracle entry points.
 
     Checks the detuning, the Fock cutoff and the ion cap; defaults the
-    ensemble to the vacuum, the propagated boson columns e_0..e_{n_comp-1} to
-    the ensemble length, and the Fock cutoff to ``default_fock_cutoff`` of
-    ``sizing`` plus one level per column beyond the ensemble.  Holds the
-    coherent spin state, the ladder operators and the block eigenpairs.
+    ensemble to the vacuum and the Fock cutoffs to ``default_fock_cutoff`` of
+    ``spec.schedule(sizing_drive)``, one per Jz block (an explicit ``n_cut``
+    gives every block the same one).  Propagates the boson columns
+    e_0..e_{n_comp-1}, n_comp the ensemble length.  Block m lives on the
+    leading cutoffs[m] + 1 rows of one array with n_cut + 1 rows, n_cut the
+    largest cutoff; the rows beyond stay zero.  Holds the coherent spin state,
+    the ladder operators and the block eigenpairs.
 
     Parity P = diag((-1)^n) maps x and y to -x and -y, so
     P H_m(s) P = H_{-m}(-s) at drive scale s, and kicks follow the same rule.
     The columns e_n are parity eigenstates, so
     B_{-m}(-s) = P B_m(s) diag((-1)^n) exactly, and the tangents obey
     dB_{-m}(-s) = -P dB_m(s) diag((-1)^n): ``mirror`` and ``unfold`` give the
-    -m blocks of a run without propagating them.
+    -m blocks of a run without propagating them (block -m has the cutoff of
+    block m).
     """
 
     def __init__(
         self,
         spec: ProtocolSpec,
         delta: float,
-        sizing: PulseSchedule,
         n_cut: Optional[int],
         initial: Optional[ThermalEnsemble],
         leak_tol: float,
-        n_comp: Optional[int] = None,
+        sizing_drive: float = 0.0,
     ):
         n_ions = spec.n_ions
         if n_ions > MAX_HAMILTONIAN_IONS:
@@ -350,23 +344,24 @@ class _ExactRun:
         if not math.isfinite(delta):
             raise ConfigError(f"detuning must be finite, not {delta!r}")
         ensemble = initial if initial is not None else ThermalEnsemble.from_nbar(0.0)
-        n_comp = n_comp if n_comp is not None else len(ensemble.weights)
+        n_comp = len(ensemble.weights)
         if n_cut is None:
-            n_cut = default_fock_cutoff(sizing, delta, n_ions, ensemble)
-            n_cut += n_comp - len(ensemble.weights)
+            cutoffs = default_fock_cutoff(spec.schedule(sizing_drive), delta, n_ions, ensemble)
         elif not (isinstance(n_cut, numbers.Real) and float(n_cut).is_integer()):
             raise ConfigError(f"n_cut must be an integer, not {n_cut!r}")
-        n_cut = int(n_cut)
-        if n_comp > n_cut:
+        else:
+            cutoffs = np.full(n_ions + 1, int(n_cut))
+        if n_comp > cutoffs.min():
             raise ConfigError("initial Fock levels exceed the Fock cutoff")
         self.n_ions = n_ions
         self.weights = ensemble.weights
-        self.n_cut = n_cut
+        self.cutoffs = cutoffs
+        self.n_cut = int(cutoffs.max())
         self.n_comp = n_comp
         self.leak_tol = leak_tol
         self.css = _css_amplitudes(n_ions)
         self.ops = _ladder_ops(n_ions)
-        self.cache = _BlockCache(delta, n_cut)
+        self.cache = _BlockCache(delta, self.n_cut)
         self.worst_leak = 0.0
         self.m_values = np.arange(n_ions + 1) - n_ions / 2.0
         probs = self.css**2
@@ -378,6 +373,18 @@ class _ExactRun:
         parity = 1.0 - 2.0 * (self.cache.levels % 2)
         # columns [B | dB]: the tangent columns flip sign under the mirror
         self.parity_sign = np.outer(parity, np.concatenate([parity[:n_comp], -parity[:n_comp]]))
+
+    def _layout(self, mirrored: bool) -> tuple[list, np.ndarray, np.ndarray]:
+        """For the blocks of a run (the m >= 0 half if ``mirrored``): their
+        cutoffs, the mask of their own Fock rows, shape (blocks, n_cut+1, 1),
+        and the gate weights, shape (2, blocks * (n_cut+1)): CSS weights on
+        each block's top two rows and on all its rows."""
+        cuts = self.cutoffs[self.half] if mirrored else self.cutoffs
+        probs = self.half_probs if mirrored else self.probs
+        levels, top = self.cache.levels, cuts[:, None]
+        inside = levels <= top
+        gate = np.array([(levels >= top - 1) & inside, inside]) * probs[:, None]
+        return cuts.tolist(), inside[:, :, None], gate.reshape(2, -1)
 
     def mirror(self, blocks: np.ndarray) -> np.ndarray:
         """All N+1 blocks at drive scale -s from all N+1 blocks at +s."""
@@ -406,33 +413,36 @@ class _ExactRun:
         has 2 n_comp columns [B | dB], dB = dB/ds for every drive (kick beta,
         segment eta) scaled by s.  ``mirrored`` propagates the m >= 0 half
         only, which needs zero drive: ``tangent`` or drive-free events.
-        Leakage of B is checked after every segment and kick, per ensemble
-        component.
+        Leakage of B and dB is checked after every segment and kick, per
+        ensemble column.
         """
         n_comp = self.n_comp
         m_values = self.m_values[self.half] if mirrored else self.m_values
-        probs = self.half_probs if mirrored else self.probs
+        cuts, inside, gate = self._layout(mirrored)
         blocks = None
         for kind_name, event in events:
             if kind_name == "segment":
                 if event.duration == 0.0:
                     continue
-                blocks = self._segment(blocks, m_values, event, tangent)
+                blocks = self._segment(blocks, m_values, cuts, event, tangent)
             elif event.beta == 0.0:
                 continue
             else:
                 blocks = self._unit_blocks(len(m_values)) if blocks is None else blocks
                 if not tangent:
-                    blocks = _real_matmul(self.cache.kick(event.beta), blocks)
+                    blocks = self._kick(blocks, cuts, event.beta)
                 else:
-                    # d/ds exp(s beta (a^dag - a)) at s = 0; B itself is unchanged
-                    step = event.beta * self.cache.generator(blocks[..., :n_comp])
+                    # d/ds exp(s beta (a^dag - a)) at s = 0, in each block's own
+                    # Fock space; B itself is unchanged
+                    step = event.beta * self.cache.generator(blocks[..., :n_comp]) * inside
                     if blocks.shape[2] == n_comp:
                         blocks = np.concatenate([blocks, step], axis=2)
                     else:
                         blocks[..., n_comp:] += step
-            leak = np.einsum("a,akn->n", probs, np.abs(blocks[:, -2:, :n_comp]) ** 2)
-            worst = float(np.max(leak))
+            # per column of [B | dB]: the CSS-weighted top-two-level population
+            # relative to the column's norm, 0 for a tangent still all zero
+            top, norm = gate @ (blocks * blocks.conj()).real.reshape(gate.shape[1], -1)
+            worst = float((top / np.maximum(norm, _TINY)).max())
             if worst > self.leak_tol:
                 raise NumericalError(
                     f"Fock-truncation leakage {worst:.3e} exceeds {self.leak_tol:.1e}; "
@@ -445,34 +455,44 @@ class _ExactRun:
             blocks = np.concatenate([blocks, np.zeros_like(blocks)], axis=2)
         return blocks
 
+    def _kick(self, blocks: np.ndarray, cuts: list, beta: float) -> np.ndarray:
+        """exp(beta (a^dag - a)) B_m on each block's own Fock levels."""
+        out = np.zeros_like(blocks)
+        for n in set(cuts):
+            rows = np.flatnonzero(np.equal(cuts, n))
+            out[rows, : n + 1] = _real_matmul(self.cache.kick(beta, n), blocks[rows, : n + 1])
+        return out
+
     def _segment(
-        self, blocks: Optional[np.ndarray], m_values: np.ndarray, seg: Segment, tangent: bool
+        self, blocks: Optional[np.ndarray], m_values: np.ndarray, cuts: list, seg: Segment,
+        tangent: bool,
     ) -> np.ndarray:
-        """exp(-i H_m t) B_m = D W e^{-i lam t} W^T D^H B_m per block; blocks
-        that share r share one real matmul pair.  With ``tangent`` the
-        segment runs at eta = 0 and its drive enters the tangent columns
-        (``_duhamel``)."""
+        """exp(-i H_m t) B_m = D W e^{-i lam t} W^T D^H B_m per block, on its
+        own Fock levels; blocks that share r and the cutoff share one real
+        matmul pair.  With ``tangent`` the segment runs at eta = 0 and its
+        drive enters the tangent columns (``_duhamel``)."""
         n_comp, cache, levels = self.n_comp, self.cache, self.cache.levels
         eta = 0.0 if tangent else seg.eta
         duhamel = tangent and seg.eta != 0.0
         n_in = n_comp if blocks is None else blocks.shape[2]
         n_out = 2 * n_comp if duhamel else n_in
         couplings = seg.g * m_values / math.sqrt(self.n_ions)
-        groups: dict[float, list[int]] = {}
-        for i, c in enumerate(couplings):
-            groups.setdefault(math.hypot(c, eta), []).append(i)
-        out = np.empty((len(m_values), self.n_cut + 1, n_out), dtype=complex)
-        for r, rows in groups.items():
-            lam, vec = cache.eig(r)
+        groups: dict[tuple[float, int], list[int]] = {}
+        for i, (c, n) in enumerate(zip(couplings, cuts)):
+            groups.setdefault((math.hypot(c, eta), n), []).append(i)
+        out = np.zeros((len(m_values), self.n_cut + 1, n_out), dtype=complex)
+        for (r, n), rows in groups.items():
+            lam, vec = cache.eig(r, n)
             # D = diag(e^{i k phi}) with c - i eta = r e^{-i phi}
             phis = [math.atan2(eta, couplings[i]) for i in rows]
-            gauges = [np.exp(1.0j * phi * levels) for phi in phis]
+            own = levels[: n + 1]
+            gauges = [np.exp(1.0j * phi * own) for phi in phis]
             if blocks is None:
                 # W^T D^H e_n is row n of W times conj(D_n)
                 z = np.concatenate([vec[:n_comp].T * d[:n_comp].conj() for d in gauges], axis=1)
             else:
                 z = np.concatenate(
-                    [d.conj()[:, None] * blocks[i] for i, d in zip(rows, gauges)], axis=1
+                    [d.conj()[:, None] * blocks[i, : n + 1] for i, d in zip(rows, gauges)], axis=1
                 )
                 z = _real_matmul(vec.T, z)
             if duhamel:
@@ -481,7 +501,7 @@ class _ExactRun:
                 z *= np.exp(-1.0j * lam * seg.duration)[:, None]
             z = _real_matmul(vec, z)
             for j, (i, d) in enumerate(zip(rows, gauges)):
-                out[i] = d[:, None] * z[:, j * n_out : (j + 1) * n_out]
+                out[i, : n + 1] = d[:, None] * z[:, j * n_out : (j + 1) * n_out]
         return out
 
     def _duhamel(
@@ -514,28 +534,18 @@ class _ExactRun:
         return out.reshape(len(lam), -1)
 
     def moments(self, blocks: np.ndarray) -> dict:
-        """Ensemble-averaged moments of the final boson blocks (needs
-        ``n_comp`` equal to the ensemble length); from [B | dB] blocks also
-        the slope d<Jy>/ds = 2 Re css^T (Jy o <B, dB>_w) css."""
+        """Ensemble-averaged moments of the final boson blocks; from
+        [B | dB] blocks also the slope d<Jy>/ds = 2 Re css^T (Jy o <B, dB>_w) css."""
         css, ops, n_comp = self.css, self.ops, self.n_comp
         root_w = np.sqrt(self.weights)
         # ensemble-weighted overlaps sum_n w_n <B_a e_n, B_b e_n> of the Jz blocks
         scaled = (blocks[..., :n_comp] * root_w).reshape(len(blocks), -1)
         overlap = scaled.conj() @ scaled.T
-
-        def expect(op: np.ndarray, gram: np.ndarray = overlap) -> complex:
-            return complex(css.conj() @ (op * gram) @ css)
-
-        out = {
-            "norm": expect(np.eye(len(css), dtype=complex)).real,
-            "jx": expect(ops["jx"]).real,
-            "jy": expect(ops["jy"]).real,
-            "jy_sq": expect(ops["jy2"]).real,
-            "jpm_sym": expect(ops["jpm_sym"]).real,
-        }
+        # <op> = css^T (op o overlap) css for every stacked op (css is real)
+        out = dict(zip(_MOMENTS, (css @ (ops * overlap) @ css).real.tolist()))
         if blocks.shape[2] > n_comp:
             tangent = (blocks[..., n_comp:] * root_w).reshape(len(blocks), -1)
-            out["slope"] = 2.0 * expect(ops["jy"], scaled.conj() @ tangent.T).real
+            out["slope"] = 2.0 * float((css @ (ops[2] * (scaled.conj() @ tangent.T)) @ css).real)
         return out
 
 
@@ -554,20 +564,14 @@ def evolve_exact_detail(
     The slope is exact up to rounding, with no finite-difference step.
     """
     unit = spec.variant.unit_drive().schedule(1.0)
-    run = _ExactRun(spec, delta, unit, n_cut, initial, leak_tol)
+    run = _ExactRun(spec, delta, n_cut, initial, leak_tol)
     final = run.moments(run.unfold(run.propagate(_timeline(unit), mirrored=True, tangent=True)))
     norm_error = abs(final["norm"] - 1.0)
     if not norm_error <= 1e-10:
         raise NumericalError(f"norm drift {norm_error:.3e} exceeds 1e-10")
     return OracleMoments(
-        jx=final["jx"],
-        jy=final["jy"],
-        jy_sq=final["jy_sq"],
-        slope=final["slope"],
-        jpm_sym=final["jpm_sym"],
-        norm_error=norm_error,
-        leakage=run.worst_leak,
-        n_cut=run.n_cut,
+        **{key: final[key] for key in ("jx", "jy", "jy_sq", "slope", "jpm_sym")},
+        norm_error=norm_error, leakage=run.worst_leak, n_cut=run.n_cut,
     )
 
 
@@ -584,30 +588,8 @@ def driven_moments(
     first-order slope), this propagates the schedule exactly as given and
     returns {"jx", "jy", "jy_sq", "jpm_sym", "norm"}.
     """
-    schedule = spec.schedule(1.0)
-    run = _ExactRun(spec, delta, schedule, n_cut, initial, leak_tol)
-    return run.moments(run.propagate(_timeline(schedule)))
-
-
-def final_state(
-    spec: ProtocolSpec,
-    delta: float,
-    n_cut: Optional[int] = None,
-    initial_fock: int = 0,
-    leak_tol: float = 1e-10,
-) -> DickeBosonState:
-    """Final pure state for one initial Fock level, with the spec's own drive.
-
-    amplitudes[m, k] is the coefficient of |m_z = m - N/2> x |k>.
-    """
-    if not (isinstance(initial_fock, numbers.Real) and float(initial_fock).is_integer()
-            and initial_fock >= 0):
-        raise ConfigError(f"initial_fock must be an integer >= 0, not {initial_fock!r}")
-    initial_fock = int(initial_fock)
-    schedule = spec.schedule(1.0)
-    run = _ExactRun(spec, delta, schedule, n_cut, None, leak_tol, n_comp=initial_fock + 1)
-    amplitudes = run.css[:, None] * run.propagate(_timeline(schedule))[:, :, initial_fock]
-    return DickeBosonState(amplitudes=amplitudes, n_ions=spec.n_ions)
+    run = _ExactRun(spec, delta, n_cut, initial, leak_tol, sizing_drive=1.0)
+    return run.moments(run.propagate(_timeline(spec.schedule(1.0))))
 
 
 # ---------------------------------------------------------------------------

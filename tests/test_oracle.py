@@ -35,7 +35,6 @@ from echosense.oracle import (
     driven_moments,
     evolve_exact_detail,
     evolve_lindblad_detail,
-    final_state,
 )
 
 G = 2 * math.pi * 3910.0
@@ -317,27 +316,9 @@ class TestExactEvolution:
         assert max(values) - min(values) < 1e-9
         assert values[0] == pytest.approx(expected, rel=1e-10)
 
-    def test_final_state_consistency(self):
+    def test_driven_norm_preserved(self):
         spec = ProtocolSpec(Displacement(G, 2e-4, 0.3), 4)
-        state = final_state(spec, 0.0)
-        assert state.norm == pytest.approx(1.0, abs=1e-10)
-        assert state.top_level_population < 1e-10
-        jy_op = np.zeros((5, 5), dtype=complex)
-        j = 2.0
-        m = np.arange(5) - j
-        for k in range(4):
-            jp = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-            jy_op[k + 1, k] += jp / 2j
-            jy_op[k, k + 1] += -jp / 2j
-        amp = state.amplitudes
-        jy = float(np.real(np.einsum("ak,ab,bk->", amp.conj(), jy_op, amp)))
-        assert jy == pytest.approx(driven_moments(spec, 0.0)["jy"], rel=1e-10)
-
-    @pytest.mark.parametrize("level", [-1, 2.5, math.nan])
-    def test_final_state_rejects_bad_fock_level(self, level):
-        spec = ProtocolSpec(Displacement(G, 2e-4, 0.3), 4)
-        with pytest.raises(ConfigError, match="initial_fock"):
-            final_state(spec, 0.0, initial_fock=level)
+        assert driven_moments(spec, 0.0)["norm"] == pytest.approx(1.0, abs=1e-10)
 
     def test_cutoff_doubling_stability(self):
         tau = 1.0 / G
@@ -354,6 +335,18 @@ class TestExactEvolution:
         spec = ProtocolSpec(Displacement(G, 3.0 / G, 0.0), 6)
         with pytest.raises(NumericalError):
             evolve_exact_detail(spec, 0.2 * G, n_cut=4)
+
+    def test_tangent_leakage_abort(self):
+        # at n_cut 68 B keeps 4.7e-11 in its top two levels, under the gate;
+        # the tangent dB, one generator step wider, holds 3.2e-10 of its norm
+        spec = ProtocolSpec(Displacement(G, 1.0 / G, 0.0), 12)
+        ens = ThermalEnsemble.from_nbar(1.0)
+        delta = 0.1 * G
+        run = _ExactRun(spec, delta, 68, ens, 1e-10)
+        run.propagate(_timeline(spec.schedule(0.0)), mirrored=True)
+        assert run.worst_leak < 1e-10
+        with pytest.raises(NumericalError, match="leakage"):
+            evolve_exact_detail(spec, delta, n_cut=68, initial=ens)
 
     def test_ion_cap(self):
         with pytest.raises(ConfigError):
@@ -400,7 +393,10 @@ class TestStructuredCore:
             ens = ThermalEnsemble.from_nbar(nbar)
             for delta in (0.0, 0.13 * G):
                 default = evolve_exact_detail(spec, delta, initial=ens)
-                n_cut = default_fock_cutoff(variant.unit_drive().schedule(), delta, n_ions, ens)
+                zero_drive = variant.unit_drive().schedule(0.0)
+                cutoffs = default_fock_cutoff(zero_drive, delta, n_ions, ens)
+                assert np.array_equal(_ExactRun(spec, delta, None, ens, 1e-10).cutoffs, cutoffs)
+                n_cut = int(cutoffs.max())
                 assert default.n_cut == n_cut
                 explicit = evolve_exact_detail(spec, delta, n_cut=n_cut + 3, initial=ens)
                 assert explicit.n_cut == n_cut + 3
@@ -411,13 +407,34 @@ class TestStructuredCore:
                     assert det.jpm_sym == pytest.approx(ref["jpm_sym"], rel=1e-12)
                     assert det.slope == pytest.approx(ref["slope"], rel=1e-10)
 
+    @pytest.mark.parametrize("n_ions", [2, 5, 8, 12])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_block_cutoffs_match_uniform(self, protocol, n_ions):
+        # per-block default cutoffs against one uniform cutoff twice the largest
+        variant = _protocol(protocol, np.random.default_rng([5, PROTOCOLS.index(protocol), n_ions]))
+        spec = ProtocolSpec(variant, n_ions)
+        by_excursion = np.argsort(np.abs(np.arange(n_ions + 1) - n_ions / 2.0), kind="stable")
+        for nbar in (0.0, 1.0, 2.0):
+            ens = ThermalEnsemble.from_nbar(nbar)
+            for delta in (0.0, 0.13 * G):
+                cutoffs = _ExactRun(spec, delta, None, ens, 1e-10).cutoffs
+                assert np.all(np.diff(cutoffs[by_excursion]) >= 0)
+                assert np.array_equal(cutoffs, cutoffs[::-1])
+                default = evolve_exact_detail(spec, delta, initial=ens)
+                assert default.n_cut == cutoffs.max()
+                wide = evolve_exact_detail(spec, delta, n_cut=2 * default.n_cut, initial=ens)
+                assert default.jx == pytest.approx(wide.jx, rel=1e-12)
+                assert default.jy_sq == pytest.approx(wide.jy_sq, rel=1e-12)
+                assert default.jpm_sym == pytest.approx(wide.jpm_sym, rel=1e-12)
+                assert default.slope == pytest.approx(wide.slope, rel=1e-10)
+
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_parity_mirror(self, protocol):
         # B_{-m}(-s) = P B_m(s) diag((-1)^n) in the truncated space
         variant = _protocol(protocol, np.random.default_rng(7))
         unit = variant.unit_drive()
         ens = ThermalEnsemble.from_nbar(0.7)
-        run = _ExactRun(ProtocolSpec(variant, 5), 0.13 * G, unit.schedule(), None, ens, 1e-10)
+        run = _ExactRun(ProtocolSpec(unit, 5), 0.13 * G, None, ens, 1e-10, sizing_drive=1.0)
         scale = 0.3 if unit.drive == "beta" else 0.3 / unit.schedule().total_duration
         plus = run.propagate(_timeline(unit.schedule(scale)))
         minus = run.propagate(_timeline(unit.schedule(-scale)))
