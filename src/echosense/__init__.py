@@ -30,10 +30,8 @@ from .core import (
 from .kernels import (
     Kernels,
     kernels_classical_efield,
-    kernels_displacement,
     kernels_generic,
     kernels_quantum_efield,
-    kernels_readout,
 )
 from .moments import SpinMoments, contrast, moments_at_detuning, readout_snr_largeN
 from .sensitivity import (
@@ -74,10 +72,8 @@ __all__ = [
     "voltage_to_displacement",
     "Kernels",
     "kernels_classical_efield",
-    "kernels_displacement",
     "kernels_generic",
     "kernels_quantum_efield",
-    "kernels_readout",
     "SpinMoments",
     "contrast",
     "moments_at_detuning",

@@ -33,8 +33,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import ConfigError, NoiseModel, NumericalError, population_up
-from .kernels import kernels_displacement
+from .core import ConfigError, Displacement, NoiseModel, NumericalError, population_up
+from .kernels import kernels_generic
 from .moments import moments_at_detuning
 from .sensitivity import gauss_hermite_rule
 
@@ -245,7 +245,7 @@ def pup_model_exact(
     if tau == 0.0:
         return 0.0
     rule = gauss_hermite_rule(sigma, n_nodes)
-    kernels = kernels_displacement(g, tau, rule.nodes, beta=1.0)
+    kernels = kernels_generic(Displacement(g, tau, 1.0).schedule(), rule.nodes)
     mom = moments_at_detuning(kernels, n_ions, NoiseModel(nbar=nbar))
     jx_av = float(rule.weights @ np.atleast_1d(mom.jx_mean))
     jx_av *= math.exp(-2.0 * gamma_tot * tau)

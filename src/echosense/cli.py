@@ -11,7 +11,8 @@ Outputs are deterministic: identical configuration produces byte-identical
 CSV or JSON.  Every JSON output validates against the schema shipped in
 ``echosense/schemas/echosense.schema.json`` ($defs cli_table / fit_result).
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure (an
+overflow, or a table cell that is not finite, included).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .core import (
     db_below,
     efield_sensitivity_from_eta,
 )
-from .kernels import kernels_displacement
+from .kernels import kernels_generic
 from .moments import moments_at_detuning
 from .oracle import ThermalEnsemble, evolve_exact_detail
 from .sensitivity import (
@@ -69,6 +70,11 @@ def _write_table(
     out: Optional[str],
     fmt: str,
 ) -> None:
+    rows = [list(row) for row in rows]
+    for row in rows:
+        for column, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericalError(f"{command}: {column} = {value} is not finite")
     if fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -78,7 +84,7 @@ def _write_table(
             "command": command,
             "params": params,
             "columns": list(columns),
-            "rows": [list(row) for row in rows],
+            "rows": rows,
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _emit(text, out)
@@ -318,9 +324,8 @@ def cmd_oracle_check(args: argparse.Namespace, cfg: dict) -> int:
         delta = frac * g
         spec = ProtocolSpec(Displacement(g, tau, 0.0), n_ions)
         det = evolve_exact_detail(spec, delta, initial=ThermalEnsemble.from_nbar(nbar))
-        mom = moments_at_detuning(
-            kernels_displacement(g, tau, delta), n_ions, NoiseModel(nbar=nbar)
-        )
+        kernels = kernels_generic(spec.variant.unit_drive().schedule(), delta)
+        mom = moments_at_detuning(kernels, n_ions, NoiseModel(nbar=nbar))
         rel = max(
             abs(det.jx - mom.jx_mean) / abs(mom.jx_mean),
             abs(det.jy_sq - mom.jy_sq) / abs(mom.jy_sq),
@@ -450,7 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -263,7 +263,8 @@ class Variant:
     * ``tau_cap``: the largest drive time tau as a fraction of T;
     * ``drive``: the drive-amplitude field that ``unit_drive`` sets to 1;
     * ``closed_form``: the ``kernels`` function of its unit-drive kernels,
-      called with the non-drive fields and the detuning (None: generic kernels).
+      called with the non-drive fields and the detuning; None (all but the
+      e-field variants): ``kernels_generic`` of the unit-drive schedule.
 
     Sign convention: the entangling (initial) pulse carries +g, the readout
     (final) pulse -g, so the echo responds to a kick with d<Jy>/dbeta =
@@ -345,7 +346,6 @@ class Displacement(_KickVariant):
     """Echo protocol: drive +g for tau, kick beta, drive -g for tau."""
 
     name = "displacement"
-    closed_form = "kernels_displacement"
 
     def schedule(self, drive_scale: float = 1.0) -> PulseSchedule:
         return PulseSchedule(
@@ -359,7 +359,6 @@ class ReadoutOnly(_KickVariant):
     """Kick beta first, then a single readout drive of duration tau."""
 
     name = "readout"
-    closed_form = "kernels_readout"
 
     def schedule(self, drive_scale: float = 1.0) -> PulseSchedule:
         return PulseSchedule(
@@ -548,6 +547,8 @@ def population_up(j_component: float, n_ions: int) -> float:
 
 def db_below(reference: float, achieved: float) -> float:
     """10*log10(reference/achieved); positive when better than the reference."""
+    if not (math.isfinite(reference) and math.isfinite(achieved)):
+        raise NumericalError(f"db_below needs finite inputs, not {reference!r}, {achieved!r}")
     if not (reference > 0.0 and achieved > 0.0):
         raise ConfigError("db_below needs strictly positive inputs")
     return 10.0 * math.log10(reference / achieved)

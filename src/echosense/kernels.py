@@ -12,27 +12,30 @@ Instantaneous kicks enter q as delta-function contributions of eta(t).
 
 ``kernels_generic`` evaluates these integrals exactly for any
 piecewise-constant schedule, as pairwise sums over segments (see its
-docstring).  The four named protocols keep hand-derived closed forms, which
-are faster and serve as an independent check of the generic engine; the sign
-convention (entangling pulse +g, readout pulse -g, see ``core.Variant``)
-fixes the sign of q.  Every kernel function broadcasts over ``delta``, so a
-full quadrature grid is one call, and a scalar ``delta`` gives scalar kernels.
-The named closed forms also take a drive-time axis: ``tau`` of shape
-``(n_tau, 1)`` against ``delta`` of shape ``(n_delta,)`` gives kernels of shape
-``(n_tau, n_delta)`` and one ``odf_on_time`` per row.  The two e-field forms
-take ``T`` as a column beside ``tau`` too, so the rows of one call may belong
-to different protocol times.  Their scalar coefficients in tau and T (the
-powers of tau and T - tau in the p series) are computed per row as Python
-floats (``map_floats``), so row i is bitwise the kernels of a scalar call at
-``tau[i]`` (and ``T[i]``); numpy's array power can differ from the scalar one
-in the last bit.
+docstring), and is the kernel engine of every protocol but the two e-field
+ones.  A sequence of schedules of one layout is one batched call with a
+leading row axis, which is how a sweep over the drive time tau of the kick
+protocols (echo and readout) is evaluated.  The two e-field protocols keep
+hand-derived closed forms, which are faster on the optimizer's grids; the
+sign convention (entangling pulse +g, readout pulse -g, see
+``core.Variant``) fixes the sign of q.  Every kernel function broadcasts
+over ``delta``, so a full quadrature grid is one call, and a scalar
+``delta`` gives scalar kernels.  The closed forms also take a drive-time
+axis: ``tau`` of shape ``(n_tau, 1)`` against ``delta`` of shape
+``(n_delta,)`` gives kernels of shape ``(n_tau, n_delta)`` and one
+``odf_on_time`` per row, and ``T`` may be a column beside ``tau`` too, so
+the rows of one call may belong to different protocol times.  Their scalar
+coefficients in tau and T (the powers of tau and T - tau in the p series)
+are computed per row as Python floats (``map_floats``), so row i is bitwise
+the kernels of a scalar call at ``tau[i]`` (and ``T[i]``); numpy's array
+power can differ from the scalar one in the last bit.
 
-Numerical notes: the named h and q are evaluated through cancellation-free
-product forms.  The named p kernels subtract terms that agree through O(delta^2),
-which costs ~1e-7 relative accuracy near |delta|*t ~ 1e-4 in double
-precision; below ``SERIES_THRESHOLD`` they therefore switch to a Taylor
-series carrying two correction orders, keeping both branches below 1e-12
-relative error at the switchover.  The generic engine needs a series only
+Numerical notes: the closed-form h and q are evaluated through
+cancellation-free product forms.  The closed-form p kernels subtract terms
+that agree through O(delta^2), which costs ~1e-7 relative accuracy near
+|delta|*t ~ 1e-4 in double precision; below ``SERIES_THRESHOLD`` they
+therefore switch to a Taylor series carrying two correction orders, keeping
+both branches below 1e-12 relative error at the switchover.  The generic engine needs a series only
 for its one cancelling helper, (x - sin x)/x^3, below |x| = 1; its sums over
 segments are accurate to a few eps times the sum of the magnitudes of their
 terms, which bounds the relative error where a kernel is a small remainder
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -54,8 +57,6 @@ __all__ = [
     "SERIES_THRESHOLD",
     "ZERO_DETUNING",
     "map_floats",
-    "kernels_displacement",
-    "kernels_readout",
     "kernels_classical_efield",
     "kernels_quantum_efield",
     "kernels_generic",
@@ -66,7 +67,7 @@ Scalar = Union[float, np.ndarray]
 # Switch p to its series when |delta| * t_char <= this.  See module docstring.
 SERIES_THRESHOLD = 3e-3
 
-# The named closed forms take their delta = 0 values below this |delta| (rad/s),
+# The closed forms take their delta = 0 values below this |delta| (rad/s),
 # where 1/delta^2 would overflow.  Those values are then exact up to a relative
 # O(delta t), or an absolute O(g delta t^2) where they vanish; p keeps its series.
 ZERO_DETUNING = 1e-100
@@ -132,64 +133,6 @@ def _kernels(h: np.ndarray, p: np.ndarray, q: np.ndarray, odf_on_time: Scalar) -
     """Kernels with 0-d arrays turned into Python scalars."""
     h, p, q = (value.item() if value.ndim == 0 else value for value in (h, p, q))
     return Kernels(h=h, p=p, q=q, odf_on_time=odf_on_time)
-
-
-def kernels_displacement(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0) -> Kernels:
-    """Echo protocol (+g for tau, kick beta at tau, -g for tau), evaluated at 2*tau.
-
-    |h|^2 = (16 g^2/delta^2) sin^4(delta tau/2)
-    p     = (g^2/delta^2) [4 sin(delta tau) - sin(2 delta tau) - 2 delta tau]
-    q     = -(beta g/delta) sin(delta tau)
-    """
-    tau = _as_tau(tau)
-    d, at_zero, safe = _detuning(delta)
-    y = d * tau
-    small = np.abs(y) <= SERIES_THRESHOLD
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sin_y = np.sin(y)
-        h = np.where(
-            at_zero,
-            0.0 + 0.0j,
-            (4.0j * g / safe) * np.exp(-1.0j * y) * np.sin(y / 2.0) ** 2,
-        )
-        p_direct = (g**2 / safe**2) * (4.0 * sin_y - np.sin(2.0 * y) - 2.0 * y)
-        q = np.where(at_zero, -beta * g * tau, -(beta * g / safe) * sin_y)
-    (tau3,) = map_floats(lambda t: (t**3,), tau)
-    p_series = (2.0 / 3.0) * g**2 * d * tau3 * (
-        1.0 - (7.0 / 20.0) * y**2 + (31.0 / 840.0) * y**4
-    )
-    p = np.where(small, p_series, p_direct)
-    return _kernels(h, p, q, odf_on_time=2.0 * tau)
-
-
-def kernels_readout(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0) -> Kernels:
-    """Kick beta at t=0 followed by a single readout pulse (-g, tau).
-
-    Closed forms follow from the generic integrals for this schedule:
-    |h|^2 = (4 g^2/delta^2) sin^2(delta tau/2), p = (g^2/delta^2)
-    [sin(delta tau) - delta tau], q = -(beta g/delta) sin(delta tau), so the
-    zero-detuning response is d<Jy>/dbeta = -sqrt(N) g tau exactly as for the
-    echo protocol.
-    """
-    tau = _as_tau(tau)
-    d, at_zero, safe = _detuning(delta)
-    y = d * tau
-    small = np.abs(y) <= SERIES_THRESHOLD
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sin_y = np.sin(y)
-        h = np.where(
-            at_zero,
-            -g * tau + 0.0j,
-            -(2.0 * g / safe) * np.exp(-1.0j * y / 2.0) * np.sin(y / 2.0),
-        )
-        p_direct = (g**2 / safe**2) * (sin_y - y)
-        q = np.where(at_zero, -beta * g * tau, -(beta * g / safe) * sin_y)
-    (tau3,) = map_floats(lambda t: (t**3,), tau)
-    p_series = -(g**2 * d * tau3 / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
-    p = np.where(small, p_series, p_direct)
-    return _kernels(h, p, q, odf_on_time=tau)
 
 
 def kernels_classical_efield(
@@ -303,18 +246,56 @@ def _x_minus_sin_over_cube(x: np.ndarray) -> np.ndarray:
     for coef in _F_SERIES[1:]:
         series = series * x2 + coef
     small = x2 < 1.0
+    if small.all():  # the usual case: no direct branch to evaluate
+        return series
     safe = np.where(small, 1.0, x)
     return np.where(small, series, (safe - np.sin(safe)) / safe**3)
 
 
-def _pairs(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries coef[j, k] with j < k, and their indices j, k."""
-    j, k = np.nonzero(np.triu(coef, 1))
-    return coef[j, k], j, k
+def _pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero products left_j right_k with j < k, and their indices j, k;
+    leading axes index schedules, which must all have the same nonzero ones."""
+    first = np.triu(np.outer(left[(0,) * (left.ndim - 1)], right[(0,) * (right.ndim - 1)]), 1)
+    j, k = np.nonzero(first)
+    if left.ndim == 1:
+        return first[j, k], j, k
+    each = np.triu(left[..., :, None] * right[..., None, :], 1)
+    if not ((each != 0.0) == (first != 0.0)).all():
+        raise ConfigError("batched schedules must switch on the same segments")
+    return each[..., j, k], j, k
 
 
-def kernels_generic(schedule: PulseSchedule, delta: Scalar) -> Kernels:
-    """Kernels for an arbitrary piecewise-constant schedule, broadcast over ``delta``.
+def _columns(schedule, ndim: int) -> tuple:
+    """Segment starts, L, g and eta, the kicks' (time, beta), and odf_on_time,
+    shaped to broadcast against a delta of ``ndim`` axes and a last segment
+    axis; a sequence of schedules adds a leading row axis."""
+    single = isinstance(schedule, PulseSchedule)
+    rows = (schedule,) if single else tuple(schedule)
+    n_seg, n_kick = (len(rows[0].segments), len(rows[0].kicks)) if rows else (0, 0)
+    if not rows or any((len(s.segments), len(s.kicks)) != (n_seg, n_kick) for s in rows):
+        raise ConfigError("kernels_generic needs schedules with as many segments and kicks")
+    table = []
+    for s in rows:
+        start, row = 0.0, []
+        for x in s.segments:  # the running sum is np.cumsum's, term by term
+            row.append((start, x.duration, x.g, x.eta))
+            start += x.duration
+        table.append(row)
+    seg = np.array(table, dtype=float).reshape(len(rows), n_seg, 4).transpose(2, 0, 1)
+    if single:  # kicks as Python floats, the fastest path for their terms
+        return (*seg[:, 0], [(x.time, x.beta) for x in schedule.kicks], schedule.odf_on_time)
+    lead = (len(rows),) + (1,) * ndim
+    kick = np.array([[(x.time, x.beta) for x in s.kicks] for s in rows], dtype=float)
+    kick = kick.reshape(len(rows), n_kick, 2).transpose(1, 2, 0)
+    kicks = [(time.reshape(lead + (1,)), beta.reshape(lead)) for time, beta in kick]
+    odf = np.array([s.odf_on_time for s in rows]).reshape(lead)
+    return (*seg.reshape((4,) + lead + (n_seg,)), kicks, odf)
+
+
+def kernels_generic(
+    schedule: Union[PulseSchedule, Sequence[PulseSchedule]], delta: Scalar
+) -> Kernels:
+    """Kernels for arbitrary piecewise-constant schedules, broadcast over ``delta``.
 
     Exact closed form from pairwise sums over segments.  Segment k has length
     L_k, midpoint c_k, couplings g_k, eta_k and A_k = L_k sinc(delta L_k/2),
@@ -329,12 +310,16 @@ def kernels_generic(schedule: PulseSchedule, delta: Scalar) -> Kernels:
     sinc(delta W/2) cos[delta (m - t)] for the part of each segment after t
     (length W, midpoint m).  Every term is a product of sines, so delta = 0
     needs no special case.  A scalar ``delta`` gives scalar kernels.
+
+    A sequence of R schedules is one batched call: the kernels gain a leading
+    axis of R rows (``odf_on_time`` a column), and row i is bitwise the call
+    on ``schedule[i]`` alone.  The schedules must share their layout: the
+    numbers of segments and kicks, and which products g_j g_k and eta_j g_k
+    are nonzero; durations, couplings, kick times and betas may differ.
     """
     d = np.asarray(delta, dtype=float)
-    seg = np.array([(s.duration, s.g, s.eta) for s in schedule.segments], dtype=float)
-    L, g, eta = seg.reshape(-1, 3).T
-    edges = np.concatenate(([0.0], np.cumsum(L)))
-    starts, ends = edges[:-1], edges[1:]
+    starts, L, g, eta, kicks, odf_on_time = _columns(schedule, d.ndim)
+    ends = starts + L
     c = starts + 0.5 * L
     dd = d[..., None]
     A = L * _sinc(0.5 * dd * L)
@@ -342,15 +327,15 @@ def kernels_generic(schedule: PulseSchedule, delta: Scalar) -> Kernels:
     h = (g * A * np.exp(-1.0j * dd * c)).sum(axis=-1)
     p = -(g**2 * dd * L**3 * _x_minus_sin_over_cube(dd * L)).sum(axis=-1)
     q = (0.5 * g * eta * A**2).sum(axis=-1)
-    w, j, k = _pairs(np.outer(g, g))
-    p = p - (w * A[..., j] * A[..., k] * np.sin(dd * (c[k] - c[j]))).sum(axis=-1)
-    w, j, k = _pairs(np.outer(eta, g))
-    q = q + (w * A[..., j] * A[..., k] * np.cos(dd * (c[k] - c[j]))).sum(axis=-1)
-    for kick in schedule.kicks:
-        after = np.maximum(starts, kick.time)
+    w, j, k = _pairs(g, g)
+    gap = c.take(k, axis=-1) - c.take(j, axis=-1)
+    p = p - (w * A[..., j] * A[..., k] * np.sin(dd * gap)).sum(axis=-1)
+    w, j, k = _pairs(eta, g)
+    gap = c.take(k, axis=-1) - c.take(j, axis=-1)
+    q = q + (w * A[..., j] * A[..., k] * np.cos(dd * gap)).sum(axis=-1)
+    for time, beta in kicks:  # each kick on every row at once
+        after = np.maximum(starts, time)
         W = np.maximum(ends - after, 0.0)
         m = 0.5 * (after + ends)
-        q = q + kick.beta * (
-            g * W * _sinc(0.5 * dd * W) * np.cos(dd * (m - kick.time))
-        ).sum(axis=-1)
-    return _kernels(h, p, q, odf_on_time=schedule.odf_on_time)
+        q = q + beta * (g * W * _sinc(0.5 * dd * W) * np.cos(dd * (m - time))).sum(axis=-1)
+    return _kernels(h, p, q, odf_on_time=odf_on_time)

@@ -11,8 +11,9 @@ node evaluations are independent and summed in fixed node order, so results
 are deterministic regardless of any data-parallel execution of the nodes.
 
 Many drive times at once (``sensitivity_over_tau``, and ``optimize_tau``'s
-coarse grid) are a single batched evaluation: one call of the closed-form
-kernels and moments on a ``(n_tau, n_delta)`` grid, reduced by the code of
+coarse grid) are a single batched evaluation: one call of the kernels (a
+closed form, or ``kernels_generic`` on one schedule per tau) and the moments
+on a ``(n_tau, n_delta)`` grid, reduced by the code of
 ``averaged_sensitivity`` (``_reduce``), so that each row is bitwise
 ``averaged_sensitivity`` at its tau.  The e-field forms also take a T per
 row, which lets ``optimize_tau`` refine a whole sweep over T in lockstep: one
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,14 +46,7 @@ from .core import (
 )
 # the kernels_<protocol> closed forms are called by name (Variant.closed_form)
 # in _protocol_kernels
-from .kernels import (
-    Kernels,
-    kernels_classical_efield,
-    kernels_displacement,
-    kernels_generic,
-    kernels_quantum_efield,
-    kernels_readout,
-)
+from .kernels import Kernels, kernels_classical_efield, kernels_generic, kernels_quantum_efield
 from .moments import SpinMoments, moments_at_detuning
 
 __all__ = [
@@ -127,18 +121,23 @@ def _protocol_kernels(variant: Variant, delta: np.ndarray, **columns) -> Kernels
     """Unit-drive-amplitude kernels for the variant, broadcast over delta: its
     closed form (one of the kernel functions imported here) or the generic
     kernels of its unit-drive schedule.  ``columns`` (``tau``, and ``T`` for
-    the e-field forms) replace the variant's own fields, giving one row of
-    kernels per entry."""
-    if variant.closed_form is None:
-        if columns:
-            raise ConfigError(f"protocol {variant.name!r} has no drive time tau")
-        return kernels_generic(variant.unit_drive().schedule(1.0), delta)
-    args = [
-        columns.get(f.name, getattr(variant, f.name))
-        for f in fields(variant)
-        if f.name != variant.drive
-    ]
-    return globals()[variant.closed_form](*args, delta)
+    the e-field variants) replace the variant's own fields, giving one row of
+    kernels per entry; the generic kernels then take one schedule per row."""
+    if variant.closed_form is not None:
+        args = [
+            columns.get(f.name, getattr(variant, f.name))
+            for f in fields(variant)
+            if f.name != variant.drive
+        ]
+        return globals()[variant.closed_form](*args, delta)
+    unit = variant.unit_drive()
+    if not columns:
+        return kernels_generic(unit.schedule(1.0), delta)
+    if not hasattr(unit, "tau"):
+        raise ConfigError(f"protocol {variant.name!r} has no drive time tau")
+    rows = zip(*(col.ravel().tolist() for col in np.broadcast_arrays(*columns.values())))
+    schedules = [replace(unit, **dict(zip(columns, row))).schedule(1.0) for row in rows]
+    return kernels_generic(schedules, delta)
 
 
 def _reduce(
@@ -207,7 +206,7 @@ def averaged_sensitivity(
 def _node_rows(
     spec: ProtocolSpec, noise: NoiseModel, rule: QuadratureRule, **columns
 ) -> SpinMoments:
-    """Node moments from one batched closed-form evaluation, one row per entry
+    """Node moments from one batched kernel evaluation, one row per entry
     of ``columns`` (``tau``, and ``T`` for the e-field forms), which replace
     ``spec``'s own fields."""
     columns = {key: np.asarray(col, dtype=float).reshape(-1, 1) for key, col in columns.items()}
@@ -221,8 +220,8 @@ def sensitivity_over_tau(
     """``averaged_sensitivity`` of ``spec`` at every drive time in ``taus``.
 
     ``spec``'s own tau is replaced by each entry of ``taus``; its other fields
-    are kept.  All drive times go through the closed forms and the moments in
-    one batched call, and report i is bitwise ``averaged_sensitivity`` at
+    are kept.  All drive times go through the kernels and the moments in one
+    batched call, and report i is bitwise ``averaged_sensitivity`` at
     ``taus[i]``.  Where that raises, this raises (at the first such tau).
     """
     mom = _node_rows(spec, noise, rule, tau=taus)
@@ -419,8 +418,9 @@ class TauOptima:
     """``optimize_tau`` at many protocol times T, one entry per T.
 
     ``tau_opt`` and ``delta_sq`` are the optimum and its delta_sq; ``refined``
-    is False where the coarse grid was not unimodal and its minimum is
-    returned unrefined.  ``tau_opt`` is NaN where the grid has no finite point.
+    is False where the grid minimum is returned unrefined: the coarse grid
+    was not unimodal, or the search ended where delta_sq is not finite.
+    ``tau_opt`` is NaN where the grid has no finite point.
     """
 
     family: str
@@ -501,10 +501,11 @@ def optimize_tau(
     batched call, as do the first two probes and the final evaluation at the
     optimum.  Every search makes exactly the float operations of a search of
     its T alone, and every objective value is bitwise ``averaged_sensitivity``
-    at its point.  If a grid shows more than one local minimum, its minimum
-    is returned unrefined.  ``family`` names a variant class
-    (``Variant.lookup``) and tau is capped at its ``tau_cap`` times T (for
-    "displacement", T simply bounds the scan).  A tau where delta_sq is not
+    at its point.  If a grid shows more than one local minimum, or a search
+    ends where delta_sq is not finite, the grid minimum is returned
+    unrefined.  ``family`` names a variant class (``Variant.lookup``) and tau
+    is capped at its ``tau_cap`` times T (for "displacement", T simply bounds
+    the scan).  A tau where delta_sq is not
     finite scores +inf.
 
     A float ``T`` returns ``(tau_opt, delta_sq)``; an unrefined grid minimum
@@ -547,8 +548,8 @@ def optimize_tau(
         if not np.isfinite(values).any():
             continue
         i_best = int(np.argmin(values))
+        tau_opt[i], delta_sq[i] = grid[i_best], values[i_best]
         if _local_minima(values) > 1:
-            tau_opt[i], delta_sq[i] = grid[i_best], values[i_best]
             continue
         a[i], b[i] = grid[max(i_best - 1, 0)], grid[min(i_best + 1, coarse - 1)]
         refined[i] = True
@@ -561,8 +562,12 @@ def optimize_tau(
             T_column = {"T": Ts[rows[at]]} if "T" in names else {}
             return _delta_sq_rows(spec, noise, rule, tau=taus, **T_column)
 
-        tau_opt[rows] = _golden_section(objective, a[rows], b[rows], tol)
-        delta_sq[rows] = objective(tau_opt[rows], np.arange(rows.size))
+        taus = _golden_section(objective, a[rows], b[rows], tol)
+        values = objective(taus, np.arange(rows.size))
+        # a search that ends where delta_sq is not finite keeps its grid minimum
+        ended = np.isfinite(values)
+        tau_opt[rows[ended]], delta_sq[rows[ended]] = taus[ended], values[ended]
+        refined[rows[~ended]] = False
 
     optima = TauOptima(family, tau_opt, delta_sq, refined)
     if not scalar:
@@ -570,8 +575,8 @@ def optimize_tau(
     tau, value = optima.row(0)
     if not optima.refined[0]:
         warnings.warn(
-            f"delta_sq({family}) is not unimodal on the coarse grid; "
-            "returning the grid minimum",
+            f"delta_sq({family}) is not unimodal on the coarse grid, or not finite "
+            "where its search ended; returning the grid minimum",
             RuntimeWarning,
             stacklevel=2,
         )

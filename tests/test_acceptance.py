@@ -30,7 +30,6 @@ from echosense.core import (
     efield_sensitivity_from_eta,
 )
 from echosense.entanglement import renyi_entropy, wigner_reduced_boson
-from echosense.kernels import kernels_displacement
 from echosense.moments import (
     deformed_transverse_invariant,
     moments_at_detuning,
@@ -49,6 +48,7 @@ from echosense.sensitivity import (
     perturbative_displacement,
     perturbative_quantum_efield,
 )
+from reference_kernels import kernels_displacement
 
 G_DISP = 2 * math.pi * 3910.0
 G_EFIELD = 2 * math.pi * 3880.0

@@ -220,6 +220,36 @@ class TestEfieldSweepFailures:
         )
 
 
+class TestNumericalEdges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the classical search walked into delta_sq = inf, then log10(0)
+            "efield-sweep --g-hz 1000000",
+            "efield-sweep --t-max-ms 2000000",
+            # float overflow in the closed forms
+            "efield-sweep --t-max-ms 1e300 --gamma 5.2e-10",
+            "renyi --g-hz 3.91e303",
+            "renyi --tau-us 2e302",
+            "snr --g-hz 3.91e303",
+            "displacement-sweep --g-hz 3.91e303",
+            # every SNR row NaN, the last renyi row inf
+            "snr --gamma 1e12 --nbar 5e300",
+            "renyi --tau-us 2e14 --g-hz 3.91e303",
+        ],
+    )
+    def test_finite_output_or_failure_exit(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(argv.split())
+        out = capsys.readouterr().out
+        if code == 0:
+            cells = [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+            assert cells and all(math.isfinite(float(cell)) for cell in cells)
+        else:
+            assert code in (2, 3) and out == ""
+
+
 class TestParserReuse:
     SEQUENCE = [
         ["snr", "--steps", "3", "--format", "json"],

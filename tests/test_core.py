@@ -11,6 +11,7 @@ from echosense.core import (
     Displacement,
     Kick,
     NoiseModel,
+    NumericalError,
     PhysicalConstants,
     ProtocolSpec,
     PulseSchedule,
@@ -248,6 +249,16 @@ class TestDb:
     def test_value_and_sign(self):
         assert db_below(0.25, 0.025) == pytest.approx(10.0)
         assert db_below(0.25, 2.5) == pytest.approx(-10.0)
+
+    @pytest.mark.parametrize("args", [(0.25, math.inf), (math.inf, 0.25), (0.25, math.nan)])
+    def test_non_finite_is_a_numerical_failure(self, args):
+        # sql/inf is 0, whose log10 raised a bare ValueError
+        with pytest.raises(NumericalError, match="finite"):
+            db_below(*args)
+
+    def test_non_positive_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            db_below(0.25, 0.0)
 
 
 class TestJsonInterfaces:

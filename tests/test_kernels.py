@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -21,11 +22,10 @@ from echosense.kernels import (
     SERIES_THRESHOLD,
     ZERO_DETUNING,
     kernels_classical_efield,
-    kernels_displacement,
     kernels_generic,
     kernels_quantum_efield,
-    kernels_readout,
 )
+from reference_kernels import kernels_displacement, kernels_readout
 
 G = 2 * math.pi * 3910.0
 TAU = 200e-6
@@ -591,3 +591,79 @@ class TestGenericProperties:
             assert_values_close(
                 (vec.hsq[i], vec.p[i], vec.q[i]), values(one), scales(sched), 1e-14, FLOOR
             )
+
+
+@st.composite
+def batches(draw):
+    """1-4 schedules of one layout, and detunings, 0 among them.
+
+    The layout fixes the number of segments (1-4) and of kicks (0-2) and
+    which segments have g = 0 or eta = 0; each schedule draws its own
+    durations (0 included), couplings and kicks, at t = 0, on a segment
+    boundary or inside a segment.
+    """
+    # listed first, the richer choices are the ones draws shrink towards
+    n_seg = draw(st.sampled_from((4, 3, 2, 1)))
+    on = st.lists(st.sampled_from((True, False)), min_size=n_seg, max_size=n_seg)
+    coupled, driven = draw(on), draw(on)
+    n_kick = draw(st.sampled_from((2, 1, 0)))
+    schedules = []
+    for _ in range(draw(st.sampled_from((3, 4, 2, 1)))):
+        durations = [draw(st.one_of(DURATIONS, st.just(0.0))) for _ in range(n_seg)]
+        segments = [
+            Segment(L, draw(signed(0.01 * G, 2.0 * G)) if g_on else 0.0,
+                    draw(signed(0.01, 10.0)) if eta_on else 0.0)
+            for L, g_on, eta_on in zip(durations, coupled, driven)
+        ]
+        edges = list(itertools.accumulate(durations, initial=0.0))
+        kicks = []
+        for _ in range(n_kick):
+            where = draw(st.sampled_from(("start", "boundary", "inside")))
+            if where == "start":
+                t = 0.0
+            elif where == "boundary":
+                t = draw(st.sampled_from(edges))
+            else:
+                i = draw(st.integers(0, n_seg - 1))
+                t = edges[i] + draw(st.floats(0.01, 0.99)) * durations[i]
+            kicks.append(Kick(t, draw(signed(0.01, 1.0))))
+        schedules.append(PulseSchedule(segments, kicks))
+    total = max(s.total_duration for s in schedules) or 1.0
+    deltas = np.array([0.0] + draw(st.lists(DELTA_T, min_size=4, max_size=8))) / total
+    return schedules, deltas
+
+
+class TestBatchedEngine:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(batches())
+    def test_rows_are_single_calls_bitwise(self, batch):
+        schedules, deltas = batch
+        got = kernels_generic(schedules, deltas)
+        last = float(deltas[-1])
+        at_last = kernels_generic(schedules, last)
+        assert got.p.shape == (len(schedules), len(deltas))
+        assert at_last.p.shape == (len(schedules),)
+        for i, sched in enumerate(schedules):
+            one = kernels_generic(sched, deltas)
+            for field in ("h", "p", "q"):
+                assert getattr(got, field)[i].tobytes() == getattr(one, field).tobytes()
+            assert got.odf_on_time[i, 0] == one.odf_on_time
+            scalar = kernels_generic(sched, last)
+            assert (at_last.h[i], at_last.p[i], at_last.q[i]) == (scalar.h, scalar.p, scalar.q)
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            PulseSchedule((Segment(TAU, G),)),  # fewer segments
+            PulseSchedule((Segment(TAU, G), Segment(TAU, -G))),  # no kick
+            PulseSchedule((Segment(TAU, G), Segment(TAU, 0.0)), (Kick(TAU, 1.0),)),  # g = 0
+        ],
+    )
+    def test_layouts_must_match(self, second):
+        first = Displacement(G, TAU, 1.0).schedule()
+        with pytest.raises(ConfigError):
+            kernels_generic([first, second], 0.1 * G)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ConfigError):
+            kernels_generic([], 0.1 * G)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echosense import kernels as kernel_functions
 from echosense.core import (
     ClassicalEField,
     ConfigError,
@@ -15,7 +14,7 @@ from echosense.core import (
     QuantumEField,
     ReadoutOnly,
 )
-from echosense.kernels import Kernels, kernels_displacement
+from echosense.kernels import Kernels, kernels_classical_efield, kernels_quantum_efield
 from echosense.moments import (
     contrast,
     deformed_transverse_invariant,
@@ -23,8 +22,15 @@ from echosense.moments import (
     readout_snr_largeN,
 )
 from echosense.oracle import ThermalEnsemble, evolve_exact_detail
+from reference_kernels import kernels_displacement, kernels_readout
 
 QUIET = NoiseModel()
+CLOSED_FORMS = {
+    Displacement: kernels_displacement,
+    ReadoutOnly: kernels_readout,
+    ClassicalEField: kernels_classical_efield,
+    QuantumEField: kernels_quantum_efield,
+}
 
 
 def make_kernels(h=0.0, p=0.0, q=0.0, t_odf=1e-4):
@@ -149,7 +155,7 @@ def tau_axis_kernels(draw):
     """A named closed form on a (tau column x delta) grid, with the kernels
     of each tau alone."""
     cls = draw(st.sampled_from([Displacement, ReadoutOnly, ClassicalEField, QuantumEField]))
-    fn = getattr(kernel_functions, cls.closed_form)
+    fn = CLOSED_FORMS[cls]
     g = 2 * math.pi * draw(st.floats(100.0, 2e4))
     T = draw(st.floats(1e-5, 5e-3))
     fractions = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8))

@@ -19,12 +19,7 @@ from echosense.core import (
     ReadoutOnly,
     Segment,
 )
-from echosense.kernels import (
-    kernels_classical_efield,
-    kernels_displacement,
-    kernels_quantum_efield,
-    kernels_readout,
-)
+from echosense.kernels import kernels_classical_efield, kernels_quantum_efield
 from echosense.moments import deformed_transverse_invariant, moments_at_detuning
 from echosense.oracle import (
     ThermalEnsemble,
@@ -36,6 +31,7 @@ from echosense.oracle import (
     evolve_exact_detail,
     evolve_lindblad_detail,
 )
+from reference_kernels import kernels_displacement, kernels_readout
 
 G = 2 * math.pi * 3910.0
 FD_STEP = 1e-4

@@ -482,6 +482,21 @@ class TestTauGrid:
         with pytest.raises(ConfigError):
             optimize_tau(family, 1e-3, G, QUIET, RULE0, 150, tau_max=1.2 * cap * 1e-3)
 
+    def test_search_ending_non_finite_keeps_grid_minimum(self):
+        # a huge coupling: the classical search walks from a finite grid
+        # minimum into the region where delta_sq is +inf
+        g, T = 2 * math.pi * 1e6, 1.6e-3
+        noise = NoiseModel(sigma=2 * math.pi * 40.0, nbar=5.0, gamma=520.0)
+        rule = gauss_hermite_rule(noise.sigma, 64)
+        got = optimize_tau("classical", [T], g, noise, rule, 150)
+        grid = np.linspace(T / 256, T, 64)
+        want = per_point(ClassicalEField, {"g": g, "T": T}, 150, grid, noise, rule)
+        i_best = int(np.argmin(want))
+        assert not got.refined[0]
+        assert got.row(0) == (float(grid[i_best]), float(want[i_best]))
+        with pytest.warns(RuntimeWarning, match="not finite where its search ended"):
+            assert optimize_tau("classical", T, g, noise, rule, 150) == got.row(0)
+
     def test_no_finite_grid_point(self):
         # depolarization wipes out the signal at every tau
         with pytest.raises(NumericalError, match="not finite anywhere"):
@@ -491,7 +506,8 @@ class TestTauGrid:
 def golden_reference(family, T, g, noise, rule, n_ions, coarse=64, tol=1e-7):
     """optimize_tau of one T as the scalar loop it replaced: the coarse grid
     point by point, then one averaged_sensitivity call per golden-section
-    step.  Returns (tau_opt, delta_sq, refined, steps)."""
+    step, falling back to the grid minimum where the search ends at +inf.
+    Returns (tau_opt, delta_sq, refined, steps)."""
     cls = Variant.lookup(family)
     fixed = fixed_fields(cls, g, T)
     hi = cls.tau_cap * T
@@ -528,7 +544,10 @@ def golden_reference(family, T, g, noise, rule, n_ions, coarse=64, tol=1e-7):
             f2 = objective(x2)
         steps += 1
     tau_opt = 0.5 * (a + b)
-    return float(tau_opt), float(objective(tau_opt)), True, steps
+    value = objective(tau_opt)
+    if not math.isfinite(value):  # the search ended where delta_sq is +inf
+        return float(grid[i_best]), float(values[i_best]), False, steps
+    return float(tau_opt), float(value), True, steps
 
 
 def scalar_reduce(noise, rule, jy_sq, slope):
