@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, NumericalError
 
 __all__ = [
     "GaussianPhaseSpace",
@@ -73,9 +73,11 @@ def renyi_entropy(g: float, tau: float, t: float) -> float:
         raise ConfigError("tau must be > 0")
     if not 0.0 <= t <= 2.0 * tau:
         raise ConfigError("t must lie within [0, 2*tau]")
-    if t <= tau:
-        return 0.5 * math.log1p((g * t) ** 2)
-    return 0.5 * math.log1p((g * (t - 2.0 * tau)) ** 2)
+    phase = g * t if t <= tau else g * (t - 2.0 * tau)
+    try:
+        return 0.5 * math.log1p(phase**2)
+    except OverflowError:
+        raise NumericalError(f"renyi entropy: (g t)^2 overflows at g t = {phase!r}") from None
 
 
 def squeezing_parameters(g_tau: float) -> SqueezingParameters:

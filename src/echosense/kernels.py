@@ -50,7 +50,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import ConfigError, PulseSchedule
+from .core import ConfigError, NumericalError, PulseSchedule
 
 __all__ = [
     "Kernels",
@@ -177,11 +177,16 @@ def kernels_classical_efield(
 def _quantum_series_coefficients(tau: float, T: float) -> tuple[float, float, float]:
     """Coefficients of delta, delta^3 and delta^5 in -p/(2 g^2) for the quantum protocol."""
     s = T - tau
-    return (
-        tau**3 / 6.0 - tau**2 * s / 2.0,
-        -(tau**5) / 120.0 + tau**2 * s**3 / 12.0 + tau**4 * s / 24.0,
-        tau**7 / 5040.0 - tau**2 * s**5 / 240.0 - tau**4 * s**3 / 144.0 - tau**6 * s / 720.0,
-    )
+    try:
+        return (
+            tau**3 / 6.0 - tau**2 * s / 2.0,
+            -(tau**5) / 120.0 + tau**2 * s**3 / 12.0 + tau**4 * s / 24.0,
+            tau**7 / 5040.0 - tau**2 * s**5 / 240.0 - tau**4 * s**3 / 144.0 - tau**6 * s / 720.0,
+        )
+    except OverflowError:
+        raise NumericalError(
+            f"quantum e-field p series coefficients overflow at tau = {tau!r}, T = {T!r}"
+        ) from None
 
 
 def kernels_quantum_efield(

@@ -51,7 +51,6 @@ class SpinMoments:
     docstring).
     """
 
-    jy_mean: Scalar
     jy_sq: Scalar
     slope: Scalar
     jx_mean: Scalar
@@ -111,14 +110,12 @@ def moments_at_detuning(
     scalar = np.asarray(kernels.p).ndim == 0
     if scalar:
         return SpinMoments(
-            jy_mean=0.0,
             jy_sq=float(jy_sq),
             slope=float(slope),
             jx_mean=float(jx),
             in_domain=bool(in_domain),
         )
     return SpinMoments(
-        jy_mean=np.zeros_like(p),
         jy_sq=jy_sq,
         slope=slope,
         jx_mean=jx,

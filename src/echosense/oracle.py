@@ -10,12 +10,11 @@ permutation symmetric and every coupling is collective, so the exact oracle
 works on the (N+1)-dimensional ladder; per Jz eigenvalue the boson factor is a
 driven oscillator, evolved by exponentiating the truncated block Hamiltonian
 (numerical eigendecomposition, no Trotterization).  That Hamiltonian is
-tridiagonal in the Fock basis, and a diagonal phase gauge makes it real
-symmetric tridiagonal, so ``scipy.linalg.eigh_tridiagonal`` (MRRR) solves it
-and the propagation runs in real matmuls.  Kicks apply the real displacement
-unitary exp(beta (a^dag - a)), built from the gauged eigenpairs of a + a^dag.
-Parity (-1)^n maps the +m block at drive scale s onto the -m block at -s, so
-the run at zero drive propagates only the m >= 0 blocks.
+tridiagonal in the Fock basis.  The oracle propagates only at zero drive,
+where it is also real symmetric, so ``scipy.linalg.eigh_tridiagonal`` (MRRR)
+solves it and the propagation runs in real matmuls; a real sign gauge lets
+the blocks with couplings c and -c share one eigendecomposition.  Parity (-1)^n maps the +m block at drive scale s onto the
+-m block at -s, so the run at zero drive propagates only the m >= 0 blocks.
 
 ``evolve_lindblad_detail`` solves the master equation with single-spin dephasing
 jumps sigma_z^i at rate Gamma/4 while the spin-dependent drive is on.  It
@@ -30,11 +29,13 @@ Hamiltonian oracle's value with a fixed factor per distance
 against an independent RK45 integration of the full master equation for
 N = 2 to 4.
 
-Signal slopes d<Jy>/ds in the drive scale s are exact derivatives at s = 0:
-the run carries the tangent dB/ds of every boson block beside the block.  A
-kick adds beta (a^dag - a) B to it; a segment with a drive eta adds the
-Frechet derivative of its exponential (Al-Mohy & Higham, SIAM J. Matrix Anal.
-Appl. 30, 1639 (2009)), built from the zero-drive eigenpairs.
+The figure of merit <Jy^2> / (d<Jy>/ds)^2 needs the zero-drive moments and
+the slope d<Jy>/ds in the drive scale s at s = 0 alone, so no finite drive is
+ever propagated: the run carries the exact tangent dB/ds of every boson block
+beside the block.  A kick adds beta (a^dag - a) B to it; a segment with a
+drive eta adds the Frechet derivative of its exponential (Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 30, 1639 (2009)), built from the zero-drive
+eigenpairs.
 
 Each Jz block has its own Fock cutoff, sized by its own coherent excursion on
 the zero-drive schedule the run propagates (``default_fock_cutoff``; the
@@ -65,7 +66,6 @@ __all__ = [
     "LindbladMoments",
     "default_fock_cutoff",
     "evolve_exact_detail",
-    "driven_moments",
     "evolve_lindblad_detail",
     "damped_by_dephasing",
 ]
@@ -194,25 +194,23 @@ def default_fock_cutoff(
     n_ions: int,
     ensemble: ThermalEnsemble,
 ) -> np.ndarray:
-    """Fock cutoff of every Jz block m = -N/2..N/2: thermal band, the block's
-    own coherent excursion, and a tail margin.
+    """Fock cutoff of every Jz block m = -N/2..N/2 on a zero-drive schedule:
+    thermal band, the block's own coherent excursion, and a tail margin.
 
-    Block m reaches |alpha_m| = (|m|/sqrt(N)) max_t|h(t)|; continuous drives
-    and kicks add their integrated amplitude to every block.  The cutoff is
+    Block m reaches |alpha_m| = (|m|/sqrt(N)) max_t|h(t)|; the schedule's
+    drives (eta, kick beta) are not counted, since the exact oracle
+    propagates only at zero drive.  The cutoff is
     n_ens - 1 + alpha_m^2 + 4 alpha_m sqrt(n_ens + 1) + 24, and at least
     8 (nbar + 1) + alpha_m^2 + 20, rounded up: it keeps the top-two-level
     population of a displaced Fock state at the top of the thermal band far
-    below 1e-10, and it grows with |m|.  ``evolve_exact_detail`` sizes from the
-    zero-drive schedule, the only one it propagates: the tangent dB/ds is one
-    application of the drive generator (a^dag - a) to B, so it reaches one
-    level beyond B, well inside the margin.  The leakage gates on B and dB
-    verify every cutoff post hoc.
+    below 1e-10, and it grows with |m|.  The tangent dB/ds is one application
+    of the drive generator (a^dag - a) to B, so it reaches one level beyond
+    B, well inside the margin.  The leakage gates on B and dB verify every
+    cutoff post hoc.
     """
     n_ens = len(ensemble.weights)
-    drive = sum(abs(seg.eta) * seg.duration for seg in schedule.segments)
-    drive += sum(abs(k.beta) for k in schedule.kicks)
     reach = _max_h_amplitude(schedule, delta) / math.sqrt(n_ions)
-    alpha = reach * np.abs(np.arange(n_ions + 1) - n_ions / 2.0) + drive
+    alpha = reach * np.abs(np.arange(n_ions + 1) - n_ions / 2.0)
     margin = np.ceil(alpha**2 + 4.0 * alpha * math.sqrt(n_ens + 1.0) + 24.0)
     floor = np.ceil(8.0 * (ensemble.nbar + 1.0) + alpha**2 + 20.0)
     return np.maximum(n_ens - 1 + margin, floor).astype(int)
@@ -259,13 +257,14 @@ def _real_matmul(real: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class _BlockCache:
-    """Real eigenpairs of the gauged block Hamiltonians, shared within a run.
+    """Real eigenpairs of the gauged zero-drive block Hamiltonians, shared
+    within a run.
 
-    The block Hamiltonian -delta n + c x + eta y has the off-diagonal
-    sqrt(k) (c - i eta) = sqrt(k) r e^{-i phi}.  With D = diag(e^{i k phi}) it
-    is D T D^H, T real symmetric tridiagonal with diagonal -delta k and
-    off-diagonal r sqrt(k), so the eigenpairs of T depend on r and the block's
-    cutoff n alone and serve the +m and -m blocks of a segment alike.
+    The block Hamiltonian -delta n + c x has the off-diagonal c sqrt(k).  With
+    the real gauge D = diag(sign(c)^k) it is D T D, T real symmetric
+    tridiagonal with diagonal -delta k and off-diagonal |c| sqrt(k), so the
+    eigenpairs (lam, W) of T depend on |c| and the block's cutoff n alone and
+    serve blocks of either sign of c alike, with eigenvectors V = D W.
     """
 
     def __init__(self, delta: float, n_cut: int):
@@ -273,7 +272,6 @@ class _BlockCache:
         self.sqrt_k = np.sqrt(self.levels[1:].astype(float))
         self.delta = delta
         self._eigs: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._kicks: dict[tuple[float, int], np.ndarray] = {}
 
     def eig(self, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of T on Fock levels 0..n."""
@@ -281,22 +279,6 @@ class _BlockCache:
             self._eigs[r, n] = eigh_tridiagonal(-self.delta * self.levels[: n + 1],
                                                 r * self.sqrt_k[:n])
         return self._eigs[r, n]
-
-    def kick(self, beta: float, n: int) -> np.ndarray:
-        """The real matrix exp(beta (a^dag - a)) = D exp(-i beta x) D^H, D = diag(i^k),
-        on Fock levels 0..n.
-
-        With exp(-i beta x) = A - iB (A, B real, from the eigenpairs of x), the
-        (j, k) element is A, B, -A, -B for j - k = 0, 1, 2, 3 (mod 4).
-        """
-        if (beta, n) not in self._kicks:
-            mu, vec = eigh_tridiagonal(np.zeros(n + 1), self.sqrt_k[:n])
-            cos_part = (vec * np.cos(beta * mu)) @ vec.T
-            sin_part = (vec * np.sin(beta * mu)) @ vec.T
-            quarter = (self.levels[: n + 1, None] - self.levels[: n + 1]) % 4
-            op = np.where(quarter % 2 == 0, cos_part, sin_part)
-            self._kicks[beta, n] = np.where(quarter < 2, op, -op)
-        return self._kicks[beta, n]
 
     def generator(self, x: np.ndarray) -> np.ndarray:
         """(a^dag - a) x along the Fock axis -2, truncated to its length: the
@@ -309,24 +291,23 @@ class _BlockCache:
 
 
 class _ExactRun:
-    """Validated setup shared by the exact-oracle entry points.
+    """Validated setup and the zero-drive tangent run of the exact oracle.
 
     Checks the detuning, the Fock cutoff and the ion cap; defaults the
     ensemble to the vacuum and the Fock cutoffs to ``default_fock_cutoff`` of
-    ``spec.schedule(sizing_drive)``, one per Jz block (an explicit ``n_cut``
-    gives every block the same one).  Propagates the boson columns
-    e_0..e_{n_comp-1}, n_comp the ensemble length.  Block m lives on the
-    leading cutoffs[m] + 1 rows of one array with n_cut + 1 rows, n_cut the
-    largest cutoff; the rows beyond stay zero.  Holds the coherent spin state,
-    the ladder operators and the block eigenpairs.
+    the zero-drive schedule ``spec.schedule(0.0)``, one per Jz block (an
+    explicit ``n_cut`` gives every block the same one).  Propagates the boson
+    columns e_0..e_{n_comp-1}, n_comp the ensemble length, of the m >= 0
+    blocks only.  Block m lives on the leading cutoffs[m] + 1 rows of one
+    array with n_cut + 1 rows, n_cut the largest cutoff; the rows beyond stay
+    zero.  Holds the coherent spin state, the ladder operators and the block
+    eigenpairs.
 
     Parity P = diag((-1)^n) maps x and y to -x and -y, so
-    P H_m(s) P = H_{-m}(-s) at drive scale s, and kicks follow the same rule.
-    The columns e_n are parity eigenstates, so
-    B_{-m}(-s) = P B_m(s) diag((-1)^n) exactly, and the tangents obey
-    dB_{-m}(-s) = -P dB_m(s) diag((-1)^n): ``mirror`` and ``unfold`` give the
-    -m blocks of a run without propagating them (block -m has the cutoff of
-    block m).
+    P H_m(s) P = H_{-m}(-s) at drive scale s.  The columns e_n are parity
+    eigenstates, so at s = 0 B_{-m} = P B_m diag((-1)^n) exactly, and the
+    tangents obey dB_{-m} = -P dB_m diag((-1)^n): ``unfold`` gives the -m
+    blocks without propagating them (block -m has the cutoff of block m).
     """
 
     def __init__(
@@ -336,7 +317,6 @@ class _ExactRun:
         n_cut: Optional[int],
         initial: Optional[ThermalEnsemble],
         leak_tol: float,
-        sizing_drive: float = 0.0,
     ):
         n_ions = spec.n_ions
         if n_ions > MAX_HAMILTONIAN_IONS:
@@ -346,7 +326,7 @@ class _ExactRun:
         ensemble = initial if initial is not None else ThermalEnsemble.from_nbar(0.0)
         n_comp = len(ensemble.weights)
         if n_cut is None:
-            cutoffs = default_fock_cutoff(spec.schedule(sizing_drive), delta, n_ions, ensemble)
+            cutoffs = default_fock_cutoff(spec.schedule(0.0), delta, n_ions, ensemble)
         elif not (isinstance(n_cut, numbers.Real) and float(n_cut).is_integer()):
             raise ConfigError(f"n_cut must be an integer, not {n_cut!r}")
         else:
@@ -363,85 +343,62 @@ class _ExactRun:
         self.ops = _ladder_ops(n_ions)
         self.cache = _BlockCache(delta, self.n_cut)
         self.worst_leak = 0.0
-        self.m_values = np.arange(n_ions + 1) - n_ions / 2.0
-        probs = self.css**2
+        m_values = np.arange(n_ions + 1) - n_ions / 2.0
+        half = np.flatnonzero(m_values >= 0.0)
+        self.m_values = m_values[half]
+        self.cuts = cutoffs[half].tolist()
         # the m >= 0 half stands for its mirror too, which leaks alike
-        self.half = np.flatnonzero(self.m_values >= 0.0)
-        self.half_probs = probs[self.half] + probs[::-1][self.half]
-        self.half_probs[self.m_values[self.half] == 0.0] /= 2.0
-        self.probs = probs
-        parity = 1.0 - 2.0 * (self.cache.levels % 2)
+        probs = self.css[half] ** 2 + self.css[::-1][half] ** 2
+        probs[self.m_values == 0.0] /= 2.0
+        # the mask of each block's own Fock rows, shape (blocks, n_cut+1, 1), and
+        # the gate weights, shape (2, blocks * (n_cut+1)): CSS weights on each
+        # block's top two rows and on all its rows
+        levels, top = self.cache.levels, cutoffs[half, None]
+        inside = levels <= top
+        self.inside = inside[:, :, None]
+        self.gate = (np.array([(levels >= top - 1) & inside, inside]) * probs[:, None]).reshape(2, -1)
+        self.parity = parity = 1.0 - 2.0 * (levels % 2)
         # columns [B | dB]: the tangent columns flip sign under the mirror
         self.parity_sign = np.outer(parity, np.concatenate([parity[:n_comp], -parity[:n_comp]]))
 
-    def _layout(self, mirrored: bool) -> tuple[list, np.ndarray, np.ndarray]:
-        """For the blocks of a run (the m >= 0 half if ``mirrored``): their
-        cutoffs, the mask of their own Fock rows, shape (blocks, n_cut+1, 1),
-        and the gate weights, shape (2, blocks * (n_cut+1)): CSS weights on
-        each block's top two rows and on all its rows."""
-        cuts = self.cutoffs[self.half] if mirrored else self.cutoffs
-        probs = self.half_probs if mirrored else self.probs
-        levels, top = self.cache.levels, cuts[:, None]
-        inside = levels <= top
-        gate = np.array([(levels >= top - 1) & inside, inside]) * probs[:, None]
-        return cuts.tolist(), inside[:, :, None], gate.reshape(2, -1)
-
-    def mirror(self, blocks: np.ndarray) -> np.ndarray:
-        """All N+1 blocks at drive scale -s from all N+1 blocks at +s."""
-        return blocks[::-1] * self.parity_sign[:, : blocks.shape[2]]
-
     def unfold(self, half: np.ndarray) -> np.ndarray:
-        """All N+1 blocks from the m >= 0 half of a run at zero drive."""
-        n_neg = self.n_ions + 1 - len(self.half)
-        return np.concatenate([self.mirror(half)[:n_neg], half])
+        """All N+1 blocks [B | dB] from the m >= 0 half of the run."""
+        n_neg = self.n_ions + 1 - len(half)
+        return np.concatenate([half[::-1][:n_neg] * self.parity_sign, half])
 
-    def _unit_blocks(self, n_blocks: int) -> np.ndarray:
-        blocks = np.zeros((n_blocks, self.n_cut + 1, self.n_comp), dtype=complex)
+    def _unit_blocks(self) -> np.ndarray:
+        blocks = np.zeros((len(self.m_values), self.n_cut + 1, self.n_comp), dtype=complex)
         blocks[:] = np.eye(self.n_cut + 1)[:, : self.n_comp]
         return blocks
 
-    def propagate(
-        self,
-        events: list[tuple[str, object]],
-        mirrored: bool = False,
-        tangent: bool = False,
-    ) -> np.ndarray:
-        """Evolve the unit boson columns e_0..e_{n_comp-1} through ``_timeline``
-        events for every Jz block; shape (n_blocks, n_cut+1, n_comp).
-
-        With ``tangent`` the events run at drive scale s = 0 and the result
-        has 2 n_comp columns [B | dB], dB = dB/ds for every drive (kick beta,
-        segment eta) scaled by s.  ``mirrored`` propagates the m >= 0 half
-        only, which needs zero drive: ``tangent`` or drive-free events.
-        Leakage of B and dB is checked after every segment and kick, per
-        ensemble column.
+    def propagate(self, events: list[tuple[str, object]]) -> np.ndarray:
+        """Evolve the unit boson columns e_0..e_{n_comp-1} of the m >= 0 blocks
+        through ``_timeline`` events at drive scale s = 0, with their tangents:
+        shape (blocks, n_cut+1, 2 n_comp), columns [B | dB], dB = dB/ds for
+        every drive (kick beta, segment eta) scaled by s.  Leakage of B and dB
+        is checked after every segment and kick, per ensemble column.
         """
         n_comp = self.n_comp
-        m_values = self.m_values[self.half] if mirrored else self.m_values
-        cuts, inside, gate = self._layout(mirrored)
         blocks = None
         for kind_name, event in events:
             if kind_name == "segment":
                 if event.duration == 0.0:
                     continue
-                blocks = self._segment(blocks, m_values, cuts, event, tangent)
+                blocks = self._segment(blocks, event)
             elif event.beta == 0.0:
                 continue
             else:
-                blocks = self._unit_blocks(len(m_values)) if blocks is None else blocks
-                if not tangent:
-                    blocks = self._kick(blocks, cuts, event.beta)
+                # d/ds exp(s beta (a^dag - a)) at s = 0, in each block's own
+                # Fock space; B itself is unchanged
+                blocks = self._unit_blocks() if blocks is None else blocks
+                step = event.beta * self.cache.generator(blocks[..., :n_comp]) * self.inside
+                if blocks.shape[2] == n_comp:
+                    blocks = np.concatenate([blocks, step], axis=2)
                 else:
-                    # d/ds exp(s beta (a^dag - a)) at s = 0, in each block's own
-                    # Fock space; B itself is unchanged
-                    step = event.beta * self.cache.generator(blocks[..., :n_comp]) * inside
-                    if blocks.shape[2] == n_comp:
-                        blocks = np.concatenate([blocks, step], axis=2)
-                    else:
-                        blocks[..., n_comp:] += step
+                    blocks[..., n_comp:] += step
             # per column of [B | dB]: the CSS-weighted top-two-level population
             # relative to the column's norm, 0 for a tangent still all zero
-            top, norm = gate @ (blocks * blocks.conj()).real.reshape(gate.shape[1], -1)
+            top, norm = self.gate @ (blocks * blocks.conj()).real.reshape(self.gate.shape[1], -1)
             worst = float((top / np.maximum(norm, _TINY)).max())
             if worst > self.leak_tol:
                 raise NumericalError(
@@ -450,82 +407,61 @@ class _ExactRun:
                 )
             self.worst_leak = max(self.worst_leak, worst)
         if blocks is None:
-            blocks = self._unit_blocks(len(m_values))
-        if tangent and blocks.shape[2] == n_comp:
+            blocks = self._unit_blocks()
+        if blocks.shape[2] == n_comp:
             blocks = np.concatenate([blocks, np.zeros_like(blocks)], axis=2)
         return blocks
 
-    def _kick(self, blocks: np.ndarray, cuts: list, beta: float) -> np.ndarray:
-        """exp(beta (a^dag - a)) B_m on each block's own Fock levels."""
-        out = np.zeros_like(blocks)
-        for n in set(cuts):
-            rows = np.flatnonzero(np.equal(cuts, n))
-            out[rows, : n + 1] = _real_matmul(self.cache.kick(beta, n), blocks[rows, : n + 1])
-        return out
-
-    def _segment(
-        self, blocks: Optional[np.ndarray], m_values: np.ndarray, cuts: list, seg: Segment,
-        tangent: bool,
-    ) -> np.ndarray:
-        """exp(-i H_m t) B_m = D W e^{-i lam t} W^T D^H B_m per block, on its
-        own Fock levels; blocks that share r and the cutoff share one real
-        matmul pair.  With ``tangent`` the segment runs at eta = 0 and its
+    def _segment(self, blocks: Optional[np.ndarray], seg: Segment) -> np.ndarray:
+        """exp(-i H_m t) B_m = V e^{-i lam t} V^T B_m per block at zero drive,
+        on its own Fock levels, V = D W the gauged eigenvectors; blocks that
+        share |c| and the cutoff share one real matmul pair.  The segment's
         drive enters the tangent columns (``_duhamel``)."""
-        n_comp, cache, levels = self.n_comp, self.cache, self.cache.levels
-        eta = 0.0 if tangent else seg.eta
-        duhamel = tangent and seg.eta != 0.0
+        n_comp, cache = self.n_comp, self.cache
         n_in = n_comp if blocks is None else blocks.shape[2]
-        n_out = 2 * n_comp if duhamel else n_in
-        couplings = seg.g * m_values / math.sqrt(self.n_ions)
+        n_out = 2 * n_comp if seg.eta != 0.0 else n_in
+        couplings = seg.g * self.m_values / math.sqrt(self.n_ions)
         groups: dict[tuple[float, int], list[int]] = {}
-        for i, (c, n) in enumerate(zip(couplings, cuts)):
-            groups.setdefault((math.hypot(c, eta), n), []).append(i)
-        out = np.zeros((len(m_values), self.n_cut + 1, n_out), dtype=complex)
+        for i, (c, n) in enumerate(zip(couplings, self.cuts)):
+            groups.setdefault((abs(c), n), []).append(i)
+        out = np.zeros((len(self.m_values), self.n_cut + 1, n_out), dtype=complex)
         for (r, n), rows in groups.items():
             lam, vec = cache.eig(r, n)
-            # D = diag(e^{i k phi}) with c - i eta = r e^{-i phi}
-            phis = [math.atan2(eta, couplings[i]) for i in rows]
-            own = levels[: n + 1]
-            gauges = [np.exp(1.0j * phi * own) for phi in phis]
+            if seg.g < 0.0:
+                # every m >= 0 block has c <= 0 (the gauge is moot at c = 0):
+                # D = diag((-1)^k)
+                vec = vec * self.parity[: n + 1, None]
             if blocks is None:
-                # W^T D^H e_n is row n of W times conj(D_n)
-                z = np.concatenate([vec[:n_comp].T * d[:n_comp].conj() for d in gauges], axis=1)
+                # V^T e_n is row n of V
+                z = np.tile(vec[:n_comp].T.astype(complex), len(rows))
             else:
-                z = np.concatenate(
-                    [d.conj()[:, None] * blocks[i, : n + 1] for i, d in zip(rows, gauges)], axis=1
-                )
-                z = _real_matmul(vec.T, z)
-            if duhamel:
-                z = self._duhamel(z, lam, vec, seg, np.cos(phis))
+                z = _real_matmul(vec.T, np.concatenate([blocks[i, : n + 1] for i in rows], axis=1))
+            if seg.eta != 0.0:
+                z = self._duhamel(z.reshape(n + 1, len(rows), n_in), lam, vec, seg)
             else:
                 z *= np.exp(-1.0j * lam * seg.duration)[:, None]
             z = _real_matmul(vec, z)
-            for j, (i, d) in enumerate(zip(rows, gauges)):
-                out[i, : n + 1] = d[:, None] * z[:, j * n_out : (j + 1) * n_out]
+            for j, i in enumerate(rows):
+                out[i, : n + 1] = z[:, j * n_out : (j + 1) * n_out]
         return out
 
-    def _duhamel(
-        self, z: np.ndarray, lam: np.ndarray, vec: np.ndarray, seg: Segment, signs: np.ndarray
-    ) -> np.ndarray:
+    def _duhamel(self, z: np.ndarray, lam: np.ndarray, vec: np.ndarray, seg: Segment) -> np.ndarray:
         """e^{-i lam t} [z_B | z_dB] plus the drive's first-order term in the
-        tangent columns, for one r-group at zero drive; z = W^T D^H [B | dB]
-        has shape (levels, rows * n_in) and the result (levels, rows * 2 n_comp),
-        one sign per row.
+        tangent columns, for one r-group at zero drive; z = V^T [B | dB] has
+        shape (levels, rows, n_in) and the result (levels, rows * 2 n_comp).
 
-        d/ds e^{-i (H + s G) t} = D W (Psi o W^T G' W) W^T D^H (Frechet
-        derivative), Psi_jk = -i t e^{-i (lam_j + lam_k) t/2}
-        sinc((lam_j - lam_k) t/2), G' = D^H G D = sign * eta y with
-        D = diag(sign^k) at zero drive.  W^T y W = i W^T (a^dag - a) W = i A,
-        A real antisymmetric, so Psi o (i sign eta A) is
-        sign eta t diag(e) (A o sinc) diag(e) with e = e^{-i lam t/2}.
+        d/ds e^{-i (H + s G) t} = V (Psi o V^T G V) V^T (Frechet derivative),
+        Psi_jk = -i t e^{-i (lam_j + lam_k) t/2} sinc((lam_j - lam_k) t/2),
+        G = eta y.  V^T y V = i V^T (a^dag - a) V = i A, A real antisymmetric,
+        so Psi o (i eta A) is eta t diag(e) (A o sinc) diag(e) with
+        e = e^{-i lam t/2}.
         """
         n_comp, t = self.n_comp, seg.duration
-        z = z.reshape(len(lam), len(signs), -1)
         half_step = np.exp(-0.5j * lam * t)[:, None, None]
         kernel = (vec.T @ self.cache.generator(vec)) * np.sinc(
             np.subtract.outer(lam, lam) * (t / (2.0 * math.pi))
         )
-        source = z[:, :, :n_comp] * half_step * (seg.eta * t * signs)[:, None]
+        source = z[:, :, :n_comp] * half_step * (seg.eta * t)
         out = np.zeros((len(lam), z.shape[1], 2 * n_comp), dtype=complex)
         out[:, :, : z.shape[2]] = z
         out *= np.exp(-1.0j * lam * t)[:, None, None]
@@ -534,8 +470,8 @@ class _ExactRun:
         return out.reshape(len(lam), -1)
 
     def moments(self, blocks: np.ndarray) -> dict:
-        """Ensemble-averaged moments of the final boson blocks; from
-        [B | dB] blocks also the slope d<Jy>/ds = 2 Re css^T (Jy o <B, dB>_w) css."""
+        """Ensemble-averaged moments of the final [B | dB] blocks, and the
+        slope d<Jy>/ds = 2 Re css^T (Jy o <B, dB>_w) css."""
         css, ops, n_comp = self.css, self.ops, self.n_comp
         root_w = np.sqrt(self.weights)
         # ensemble-weighted overlaps sum_n w_n <B_a e_n, B_b e_n> of the Jz blocks
@@ -543,9 +479,8 @@ class _ExactRun:
         overlap = scaled.conj() @ scaled.T
         # <op> = css^T (op o overlap) css for every stacked op (css is real)
         out = dict(zip(_MOMENTS, (css @ (ops * overlap) @ css).real.tolist()))
-        if blocks.shape[2] > n_comp:
-            tangent = (blocks[..., n_comp:] * root_w).reshape(len(blocks), -1)
-            out["slope"] = 2.0 * float((css @ (ops[2] * (scaled.conj() @ tangent.T)) @ css).real)
+        tangent = (blocks[..., n_comp:] * root_w).reshape(len(blocks), -1)
+        out["slope"] = 2.0 * float((css @ (ops[2] * (scaled.conj() @ tangent.T)) @ css).real)
         return out
 
 
@@ -565,7 +500,7 @@ def evolve_exact_detail(
     """
     unit = spec.variant.unit_drive().schedule(1.0)
     run = _ExactRun(spec, delta, n_cut, initial, leak_tol)
-    final = run.moments(run.unfold(run.propagate(_timeline(unit), mirrored=True, tangent=True)))
+    final = run.moments(run.unfold(run.propagate(_timeline(unit))))
     norm_error = abs(final["norm"] - 1.0)
     if not norm_error <= 1e-10:
         raise NumericalError(f"norm drift {norm_error:.3e} exceeds 1e-10")
@@ -573,23 +508,6 @@ def evolve_exact_detail(
         **{key: final[key] for key in ("jx", "jy", "jy_sq", "slope", "jpm_sym")},
         norm_error=norm_error, leakage=run.worst_leak, n_cut=run.n_cut,
     )
-
-
-def driven_moments(
-    spec: ProtocolSpec,
-    delta: float,
-    n_cut: Optional[int] = None,
-    initial: Optional[ThermalEnsemble] = None,
-    leak_tol: float = 1e-10,
-) -> dict:
-    """Final-state moments with the protocol's own drive amplitudes applied.
-
-    Unlike ``evolve_exact_detail`` (the zero-drive working point and the
-    first-order slope), this propagates the schedule exactly as given and
-    returns {"jx", "jy", "jy_sq", "jpm_sym", "norm"}.
-    """
-    run = _ExactRun(spec, delta, n_cut, initial, leak_tol, sizing_drive=1.0)
-    return run.moments(run.propagate(_timeline(spec.schedule(1.0))))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ __all__ = [
     "optimize_tau",
     "snr_single_measurement",
     "SweepRow",
-    "sweep_to_csv",
 ]
 
 # quadrature nodes lighter than this cannot flip the domain flag
@@ -198,8 +197,7 @@ def averaged_sensitivity(
     ratio.  The excess-noise factor multiplies the noise standard deviation,
     i.e. the variance (and delta_sq) by its square.
     """
-    kernels = _protocol_kernels(spec.variant, rule.nodes)
-    mom = moments_at_detuning(kernels, spec.n_ions, noise)
+    mom = _node_rows(spec, noise, rule)
     return _report(spec.variant, noise, rule, mom.jy_sq, mom.slope, mom.in_domain)
 
 
@@ -208,10 +206,15 @@ def _node_rows(
 ) -> SpinMoments:
     """Node moments from one batched kernel evaluation, one row per entry
     of ``columns`` (``tau``, and ``T`` for the e-field forms), which replace
-    ``spec``'s own fields."""
+    ``spec``'s own fields.
+
+    Overflow to inf or nan raises no warning here: ``_reduce`` and
+    ``_report`` check the reduced values and flag or raise on non-finite ones.
+    """
     columns = {key: np.asarray(col, dtype=float).reshape(-1, 1) for key, col in columns.items()}
-    kernels = _protocol_kernels(spec.variant, rule.nodes, **columns)
-    return moments_at_detuning(kernels, spec.n_ions, noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels = _protocol_kernels(spec.variant, rule.nodes, **columns)
+        return moments_at_detuning(kernels, spec.n_ions, noise)
 
 
 def sensitivity_over_tau(
@@ -374,10 +377,15 @@ def snr_single_measurement(beta: float, g: float, tau: float, noise: NoiseModel)
         raise ConfigError("tau must be > 0")
     gam, sig, nbar = noise.gamma, noise.sigma, noise.nbar
     depol = math.exp(-2.0 * gam * tau)
-    noise_sq = 1.0 + depol * (
-        (2.0 * nbar + 1.0) * g**2 * sig**2 * tau**4
-        + (4.0 / 9.0) * g**4 * sig**2 * tau**6
-    )
+    try:
+        noise_sq = 1.0 + depol * (
+            (2.0 * nbar + 1.0) * g**2 * sig**2 * tau**4
+            + (4.0 / 9.0) * g**4 * sig**2 * tau**6
+        )
+    except OverflowError:
+        raise NumericalError(
+            f"snr: the noise variance overflows at g = {g!r}, tau = {tau!r}"
+        ) from None
     return 2.0 * g * tau * beta * math.exp(-gam * tau) / (
         math.sqrt(noise_sq) * noise.excess_noise_factor
     )
@@ -399,18 +407,6 @@ class SweepRow:
             raise ConfigError(
                 f"tau_opt={self.tau_opt} violates the {self.protocol} cap {cap}"
             )
-
-
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    """Render optimized-sweep rows as CSV (T_s, tau_opt_s, delta_sq,
-    db_below_sql, protocol)."""
-    lines = ["T_s,tau_opt_s,delta_sq,db_below_sql,protocol"]
-    for row in rows:
-        lines.append(
-            f"{row.T:.12g},{row.tau_opt:.12g},{row.delta_sq:.12g},"
-            f"{row.db_below_sql:.12g},{row.protocol}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,7 @@ class TestNumericalEdges:
     )
     def test_finite_output_or_failure_exit(self, argv, capsys):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(argv.split())
         out = capsys.readouterr().out
         if code == 0:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from echosense.core import ConfigError
+from echosense.core import ConfigError, NumericalError
 from echosense.entanglement import (
     GaussianPhaseSpace,
     hybrid_plus_state,
@@ -45,6 +45,11 @@ class TestRenyiEntropy:
             renyi_entropy(G, TAU, -1e-9)
         with pytest.raises(ConfigError):
             renyi_entropy(G, TAU, 2 * TAU + 1e-9)
+
+    def test_overflow_is_numerical_error(self):
+        # (g t)^2 overflows a float although g t itself is finite
+        with pytest.raises(NumericalError, match=r"\(g t\)\^2"):
+            renyi_entropy(1e303, TAU, TAU)
 
 
 class TestSqueezing:

@@ -11,6 +11,7 @@ from echosense.core import (
     ClassicalEField,
     ConfigError,
     Displacement,
+    NumericalError,
     Kick,
     ProtocolSpec,
     PulseSchedule,
@@ -157,6 +158,11 @@ class TestQuantumKernels:
     def test_window_validation(self):
         with pytest.raises(ConfigError):
             kernels_quantum_efield(G, 0.6 * self.T, self.T, 0.0)
+
+    def test_series_overflow_is_numerical_error(self):
+        # tau^7 in the small-detuning series overflows at a finite tau
+        with pytest.raises(NumericalError, match="series coefficients"):
+            kernels_quantum_efield(G, 1e50, 3e50, np.array([0.0, 1e-60]))
 
 
 class TestGenericSchedules:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from echosense.oracle import (
     _timeline,
     damped_by_dephasing,
     default_fock_cutoff,
-    driven_moments,
     evolve_exact_detail,
     evolve_lindblad_detail,
 )
@@ -38,7 +36,8 @@ FD_STEP = 1e-4
 
 
 def _drive_slope(jy_at, unit_schedule) -> float:
-    """Reference d<Jy>/d(drive amplitude) at zero drive from ``jy_at(drive_scale)``.
+    """Reference d<Jy>/d(drive amplitude) at zero drive from ``jy_at(drive_scale)``
+    (elementwise if it returns an array).
 
     Central differences at steps h and h/2 combined by one Richardson step;
     h = FD_STEP, divided by the schedule duration for continuous drives.
@@ -149,21 +148,18 @@ def _rk45_lindblad(spec, delta, n_cut, nbar, gamma) -> dict:
     return values
 
 
-def _dense_exact(spec, delta, n_cut, nbar) -> dict:
-    """Reference exact oracle: dense complex eigh of every block Hamiltonian
-    -delta n + c x + eta y and of y, all N+1 Jz blocks propagated at every
-    drive scale.  Returns jx, jy_sq, jpm_sym at zero drive and the slope."""
+def _dense_blocks(spec, delta, n_cut, nbar):
+    """Reference exact propagation at finite drive: dense complex eigh of every
+    block Hamiltonian -delta n + c x + eta y and of y, all N+1 Jz blocks
+    propagated on one uniform cutoff.  Returns ``blocks_at(scale)``, the
+    blocks B_m e_n of the unit-drive schedule at that drive scale, shape
+    (N+1, n_cut+1, ensemble length)."""
     n_ions = spec.n_ions
-    weights = ThermalEnsemble.from_nbar(nbar).weights
+    n_comp = len(ThermalEnsemble.from_nbar(nbar).weights)
     levels = np.arange(n_cut + 1, dtype=float)
     a = np.diag(np.sqrt(levels[1:]), 1)
     x_b, y_b = a + a.T, 1.0j * (a.T - a)
     m = np.arange(n_ions + 1) - n_ions / 2.0
-    j = n_ions / 2.0
-    jp = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
-    jx, jy = 0.5 * (jp + jp.T), (jp - jp.T) / 2.0j
-    ops = {"jx": jx, "jy": jy, "jy_sq": jy @ jy, "jpm_sym": 0.5 * (jp @ jp.T + jp.T @ jp)}
-    css = np.sqrt([math.comb(n_ions, k) for k in range(n_ions + 1)]) / 2.0 ** (n_ions / 2.0)
     unit = spec.variant.unit_drive()
     y_lam, y_vec = np.linalg.eigh(y_b)
     eigs = {}
@@ -174,9 +170,9 @@ def _dense_exact(spec, delta, n_cut, nbar) -> dict:
             eigs[coupling, eta] = np.linalg.eigh(ham)
         return eigs[coupling, eta]
 
-    def expect(scale: float) -> dict:
-        blocks = np.zeros((n_ions + 1, n_cut + 1, len(weights)), dtype=complex)
-        blocks[:] = np.eye(n_cut + 1)[:, : len(weights)]
+    def blocks_at(scale: float) -> np.ndarray:
+        blocks = np.zeros((n_ions + 1, n_cut + 1, n_comp), dtype=complex)
+        blocks[:] = np.eye(n_cut + 1)[:, :n_comp]
         for kind, ev in _timeline(unit.schedule(scale)):
             if kind == "kick":
                 kick = (y_vec * np.exp(-1.0j * ev.beta * y_lam)) @ y_vec.conj().T
@@ -186,12 +182,31 @@ def _dense_exact(spec, delta, n_cut, nbar) -> dict:
                 lam, vec = eig(ev.g * m_i / math.sqrt(n_ions), ev.eta)
                 phases = np.exp(-1.0j * lam * ev.duration)[:, None]
                 blocks[i] = vec @ (phases * (vec.conj().T @ blocks[i]))
-        scaled = blocks * np.sqrt(weights)
+        return blocks
+
+    return blocks_at
+
+
+def _dense_exact(spec, delta, n_cut, nbar) -> dict:
+    """Reference exact oracle on ``_dense_blocks``: jx, jy_sq, jpm_sym at zero
+    drive and the Richardson drive slope of <Jy> at finite drive."""
+    n_ions = spec.n_ions
+    weights = ThermalEnsemble.from_nbar(nbar).weights
+    m = np.arange(n_ions + 1) - n_ions / 2.0
+    j = n_ions / 2.0
+    jp = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
+    jx, jy = 0.5 * (jp + jp.T), (jp - jp.T) / 2.0j
+    ops = {"jx": jx, "jy": jy, "jy_sq": jy @ jy, "jpm_sym": 0.5 * (jp @ jp.T + jp.T @ jp)}
+    css = np.sqrt([math.comb(n_ions, k) for k in range(n_ions + 1)]) / 2.0 ** (n_ions / 2.0)
+    blocks_at = _dense_blocks(spec, delta, n_cut, nbar)
+
+    def expect(scale: float) -> dict:
+        scaled = blocks_at(scale) * np.sqrt(weights)
         overlap = np.einsum("akn,bkn->ab", scaled.conj(), scaled)
         return {key: float((css @ (op * overlap) @ css).real) for key, op in ops.items()}
 
     values = expect(0.0)
-    values["slope"] = _drive_slope(lambda s: expect(s)["jy"], unit.schedule(1.0))
+    values["slope"] = _drive_slope(lambda s: expect(s)["jy"], spec.variant.unit_drive().schedule())
     return values
 
 
@@ -300,21 +315,20 @@ class TestExactEvolution:
 
     def test_echo_identity_fock_independent(self):
         # at zero detuning the final spin state does not depend on the
-        # initial oscillator state
-        spec = ProtocolSpec(Displacement(G, 2e-4, 0.3), 4)
-        values = []
+        # initial oscillator state: <Jy> = -(N/2) sin(2 g tau beta / sqrt(N)),
+        # whose slope at beta = 0 is -sqrt(N) g tau for every Fock state
+        tau, n_ions = 2e-4, 4
+        spec = ProtocolSpec(Displacement(G, tau, 0.0), n_ions)
+        slopes = []
         for n0 in (0, 1, 2, 5):
             weights = np.zeros(n0 + 1)
             weights[n0] = 1.0
             ens = ThermalEnsemble(weights=weights, nbar=float(n0), tail_mass=0.0)
-            values.append(driven_moments(spec, 0.0, initial=ens)["jy"])
-        expected = -2.0 * math.sin(2 * G * 2e-4 * 0.3 / 2.0)
-        assert max(values) - min(values) < 1e-9
-        assert values[0] == pytest.approx(expected, rel=1e-10)
-
-    def test_driven_norm_preserved(self):
-        spec = ProtocolSpec(Displacement(G, 2e-4, 0.3), 4)
-        assert driven_moments(spec, 0.0)["norm"] == pytest.approx(1.0, abs=1e-10)
+            slopes.append(evolve_exact_detail(spec, 0.0, initial=ens).slope)
+        expected = -math.sqrt(n_ions) * G * tau
+        assert max(slopes) - min(slopes) < 1e-9
+        for slope in slopes:
+            assert slope == pytest.approx(expected, rel=1e-10)
 
     def test_cutoff_doubling_stability(self):
         tau = 1.0 / G
@@ -339,7 +353,7 @@ class TestExactEvolution:
         ens = ThermalEnsemble.from_nbar(1.0)
         delta = 0.1 * G
         run = _ExactRun(spec, delta, 68, ens, 1e-10)
-        run.propagate(_timeline(spec.schedule(0.0)), mirrored=True)
+        run.propagate(_timeline(spec.schedule(0.0)))
         assert run.worst_leak < 1e-10
         with pytest.raises(NumericalError, match="leakage"):
             evolve_exact_detail(spec, delta, n_cut=68, initial=ens)
@@ -426,50 +440,39 @@ class TestStructuredCore:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_parity_mirror(self, protocol):
-        # B_{-m}(-s) = P B_m(s) diag((-1)^n) in the truncated space
+        # the m >= 0 half of the zero-drive run, unfolded by parity
+        # (B_{-m} = P B_m diag((-1)^n), dB_{-m} = -P dB_m diag((-1)^n)),
+        # against all N+1 blocks propagated densely at finite drive
         variant = _protocol(protocol, np.random.default_rng(7))
-        unit = variant.unit_drive()
+        spec = ProtocolSpec(variant, 5)
         ens = ThermalEnsemble.from_nbar(0.7)
-        run = _ExactRun(ProtocolSpec(unit, 5), 0.13 * G, None, ens, 1e-10, sizing_drive=1.0)
-        scale = 0.3 if unit.drive == "beta" else 0.3 / unit.schedule().total_duration
-        plus = run.propagate(_timeline(unit.schedule(scale)))
-        minus = run.propagate(_timeline(unit.schedule(-scale)))
-        assert np.max(np.abs(run.mirror(plus) - minus)) <= 1e-13
-        zero = _timeline(unit.schedule(0.0))
-        half = run.propagate(zero, mirrored=True)
-        assert np.max(np.abs(run.unfold(half) - run.propagate(zero))) <= 1e-13
-        # the tangents at s = 0, all blocks propagated directly:
-        # dB_{-m} = -P dB_m diag((-1)^n), per unit kick or unit eta * duration
-        events = _timeline(unit.schedule())
+        delta = 0.13 * G
+        n_cut = _ExactRun(spec, delta, None, ens, 1e-10).n_cut
+        run = _ExactRun(spec, delta, n_cut, ens, 1e-10)
+        unit = variant.unit_drive().schedule()
+        blocks = run.unfold(run.propagate(_timeline(unit)))
         n = run.n_comp
-        full = run.propagate(events, tangent=True)
-        full[:, :, n:] *= scale / 0.3
-        parity = 1.0 - 2.0 * (np.arange(run.n_cut + 1) % 2)
-        mirrored = -parity[:, None] * full[::-1, :, n:] * parity[:n]
-        assert np.max(np.abs(full[:, :, n:])) > 1e-3
-        assert np.max(np.abs(full[:, :, n:] - mirrored)) <= 1e-13
-        assert np.max(np.abs(full[:, :, :n] - run.unfold(half))) <= 1e-13
-        tangent_half = run.propagate(events, mirrored=True, tangent=True)
-        tangent_half[:, :, n:] *= scale / 0.3
-        assert np.max(np.abs(run.unfold(tangent_half) - full)) <= 1e-13
+        blocks_at = _dense_blocks(spec, delta, n_cut, 0.7)
+        assert np.max(np.abs(blocks[:, :, :n] - blocks_at(0.0))) <= 1e-13
+        # the tangent dB/ds against a Richardson difference of the dense blocks
+        tangent = blocks[:, :, n:]
+        assert np.max(np.abs(tangent[: len(tangent) // 2])) > 0.0
+        ref = _drive_slope(blocks_at, unit)
+        assert np.max(np.abs(tangent - ref)) <= 1e-9 * np.max(np.abs(tangent))
 
     @pytest.mark.parametrize("nbar", [0.0, 1.0])
     @pytest.mark.parametrize("n_ions", [3, 8, 12])
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_tangent_slope_matches_finite_drive(self, protocol, n_ions, nbar):
-        # the tangent slope against a Richardson difference of driven_moments,
+        # the tangent slope against the Richardson slope of _dense_exact,
         # which propagates dense kicks and eta != 0 eigenpairs at finite drive
         variant = _protocol(protocol, np.random.default_rng([11, PROTOCOLS.index(protocol)]))
         ens = ThermalEnsemble.from_nbar(nbar)
         delta = 0.11 * G
-        det = evolve_exact_detail(ProtocolSpec(variant, n_ions), delta, initial=ens)
-
-        def jy_at(scale: float) -> float:
-            spec = ProtocolSpec(replace(variant, **{variant.drive: scale}), n_ions)
-            return driven_moments(spec, delta, n_cut=det.n_cut, initial=ens)["jy"]
-
-        ref = _drive_slope(jy_at, variant.unit_drive().schedule())
-        assert det.slope == pytest.approx(ref, rel=1e-9)
+        spec = ProtocolSpec(variant, n_ions)
+        det = evolve_exact_detail(spec, delta, initial=ens)
+        ref = _dense_exact(spec, delta, det.n_cut, nbar)
+        assert det.slope == pytest.approx(ref["slope"], rel=1e-9)
 
     def test_tangent_slope_custom_schedule(self):
         # two kicks and three driven segments: the tangent accumulates over
@@ -482,12 +485,6 @@ class TestStructuredCore:
         ens = ThermalEnsemble.from_nbar(0.5)
         delta = 0.11 * G
         det = evolve_exact_detail(ProtocolSpec(Custom(schedule), 4), delta, initial=ens)
-
-        def jy_at(scale: float) -> float:
-            spec = ProtocolSpec(Custom(schedule.scaled_drive(scale)), 4)
-            return driven_moments(spec, delta, n_cut=det.n_cut, initial=ens)["jy"]
-
-        assert det.slope == pytest.approx(_drive_slope(jy_at, schedule), rel=1e-9)
         ref = _dense_exact(ProtocolSpec(Custom(schedule), 4), delta, det.n_cut, 0.5)
         assert det.slope == pytest.approx(ref["slope"], rel=1e-9)
 

@@ -38,7 +38,6 @@ from echosense.sensitivity import (
     perturbative_quantum_efield,
     sensitivity_over_tau,
     snr_single_measurement,
-    sweep_to_csv,
 )
 
 G = 2 * math.pi * 3910.0
@@ -295,6 +294,12 @@ class TestPerturbative:
         with pytest.raises(ConfigError):
             snr_single_measurement(0.1, G, tau, noise)
 
+    def test_snr_overflow_is_numerical_error(self):
+        # g^2 overflows a float although g itself is finite
+        noise = NoiseModel(sigma=2 * math.pi * 40, nbar=5.0, gamma=610.0)
+        with pytest.raises(NumericalError, match="noise variance"):
+            snr_single_measurement(0.1, 2 * math.pi * 3.91e303, 2e-4, noise)
+
 
 class TestBounds:
     def test_reference_values(self):
@@ -357,17 +362,6 @@ class TestSweepRows:
             SweepRow(1e-3, 1.2e-3, 1.0, 0.0, "classical_efield")
         SweepRow(1e-3, 0.5e-3, 1.0, 0.0, "quantum_efield")
         SweepRow(1e-3, 1.0e-3, 1.0, 0.0, "classical_efield")
-
-    def test_csv_rendering(self):
-        rows = [
-            SweepRow(1e-3, 2.5e-4, 3.0e5, -1.5, "quantum_efield"),
-            SweepRow(1e-3, 6.0e-5, 9.0e5, -5.5, "classical_efield"),
-        ]
-        text = sweep_to_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0] == "T_s,tau_opt_s,delta_sq,db_below_sql,protocol"
-        assert lines[1].endswith("quantum_efield")
-        assert len(lines) == 3
 
 
 def per_point(cls, fixed, n_ions, grid, noise, rule):
