@@ -157,6 +157,15 @@ def _central_diff_jacobian(
     return jac
 
 
+def _line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Slope and intercept of the least-squares line through (x, y): a fit's
+    start values.  NumericalError where no line is determined (all x zero)."""
+    try:
+        return np.polyfit(x, y, 1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"no start values: the line through the data fails ({exc})") from exc
+
+
 def _fit(
     model: Callable[[np.ndarray, np.ndarray], np.ndarray],
     data: CalibrationDataset,
@@ -166,14 +175,15 @@ def _fit(
     sigma = data.y_err if data.y_err is not None else np.ones_like(data.y)
 
     def residuals(params: np.ndarray) -> np.ndarray:
+        # a finite model value still overflows against a tiny yerr
         with np.errstate(all="ignore"):
-            values = model(params, data.x)
-        if not np.all(np.isfinite(values)):
+            weighted = (model(params, data.x) - data.y) / sigma
+        if not np.all(np.isfinite(weighted)):
             raise NumericalError(
-                "fit model became non-finite at "
+                "fit residuals became non-finite at "
                 + ", ".join(f"{name}={value:.6g}" for name, value in zip(names, params))
             )
-        return (values - data.y) / sigma
+        return weighted
 
     result = least_squares(
         residuals,
@@ -189,20 +199,24 @@ def _fit(
         )
     jac = result.jac
     dof = max(len(data.y) - len(p0), 1)
+    undetermined = f"the data do not determine all of {', '.join(names)}"
     try:
-        jtj_inv = np.linalg.inv(jac.T @ jac)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jtj_inv = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"fit covariance is singular: the data do not determine all of "
-            f"{', '.join(names)}"
-        ) from exc
+        raise NumericalError(f"fit covariance is singular: {undetermined}") from exc
     if data.y_err is None:
         # scale by reduced chi-square when no measurement errors were given
         jtj_inv = jtj_inv * (2.0 * result.cost / dof)
+    residual_norm = math.sqrt(2.0 * result.cost)
+    if not (np.isfinite(jtj_inv).all() and (np.diag(jtj_inv) >= 0.0).all()):
+        raise NumericalError(f"fit covariance gives no finite standard errors: {undetermined}")
+    if not math.isfinite(residual_norm):
+        raise NumericalError(f"fit residual norm is not finite: {undetermined}")
     return FitResult(
         params={name: float(v) for name, v in zip(names, result.x)},
         covariance=jtj_inv,
-        residual_norm=float(np.sqrt(2.0 * result.cost)),
+        residual_norm=residual_norm,
     )
 
 
@@ -293,7 +307,7 @@ def fit_contrast(data: CalibrationDataset) -> FitResult:
     positive = y > 0.0
     slope0 = 0.0
     if positive.sum() >= 2:
-        slope0 = -np.polyfit(x[positive], np.log(y[positive]), 1)[0]
+        slope0 = -_line(x[positive], np.log(y[positive]))[0]
     return _fit(model, data, [max(slope0, 0.0)], ["gamma_tot"])
 
 
@@ -360,7 +374,7 @@ def fit_heating_rate(data: CalibrationDataset) -> FitResult:
     def model(params: np.ndarray, x: np.ndarray) -> np.ndarray:
         return params[0] + params[1] * x
 
-    slope0, intercept0 = np.polyfit(data.x, data.y, 1)
+    slope0, intercept0 = _line(data.x, data.y)
     return _fit(model, data, [intercept0, slope0], ["nbar0", "rate"])
 
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import calibration, entanglement
 from .core import (
-    ClassicalEField,
     ConfigError,
     Displacement,
     NoiseModel,
@@ -38,14 +37,12 @@ from .core import (
     QuantumEField,
     TWO_PI,
     constants_from_json,
-    db_below,
     efield_sensitivity_from_eta,
 )
 from .kernels import kernels_generic
 from .moments import moments_at_detuning
 from .oracle import ThermalEnsemble, evolve_exact_detail
 from .sensitivity import (
-    SweepRow,
     gauss_hermite_rule,
     optimize_tau,
     perturbative_displacement,
@@ -230,18 +227,8 @@ def cmd_efield_sweep(args: argparse.Namespace, cfg: dict) -> int:
     for i, T in enumerate(t_grid.tolist()):
         tau_q, dsq_q = quantum_rows.row(i)
         tau_c, dsq_c = classical_rows.row(i)
-        # SweepRow validates the tau caps (<= T/2 quantum, <= T classical)
-        q_variant = QuantumEField(g, tau_q, T)
-        c_variant = ClassicalEField(g, tau_c, T)
-        quantum = SweepRow(T, tau_q, dsq_q, db_below(q_variant.sql, dsq_q), q_variant.name)
-        classical = SweepRow(T, tau_c, dsq_c, db_below(c_variant.sql, dsq_c), c_variant.name)
-        eps = efield_sensitivity_from_eta(
-            math.sqrt(quantum.delta_sq), T, constants, cfg["n_ions"]
-        )
-        rows.append(
-            [T, quantum.tau_opt, classical.tau_opt, quantum.delta_sq,
-             classical.delta_sq, q_variant.sql, eps]
-        )
+        eps = efield_sensitivity_from_eta(math.sqrt(dsq_q), T, constants, cfg["n_ions"])
+        rows.append([T, tau_q, tau_c, dsq_q, dsq_c, QuantumEField(g, tau_q, T).sql, eps])
     _write_table("efield-sweep", _public(cfg), columns, rows, args.out, args.format)
     return 0
 

@@ -24,11 +24,12 @@ over ``delta``, so a full quadrature grid is one call, and a scalar
 axis: ``tau`` of shape ``(n_tau, 1)`` against ``delta`` of shape
 ``(n_delta,)`` gives kernels of shape ``(n_tau, n_delta)`` and one
 ``odf_on_time`` per row, and ``T`` may be a column beside ``tau`` too, so
-the rows of one call may belong to different protocol times.  Their scalar
+the rows of one call may belong to different protocol times.  Their
 coefficients in tau and T (the powers of tau and T - tau in the p series)
-are computed per row as Python floats (``map_floats``), so row i is bitwise
-the kernels of a scalar call at ``tau[i]`` (and ``T[i]``); numpy's array
-power can differ from the scalar one in the last bit.
+are products, never ``**``: IEEE products round alike on a Python float and
+on an array element, so row i is bitwise the kernels of a scalar call at
+``tau[i]`` (and ``T[i]``), while numpy's array power can differ from the
+scalar one in the last bit.
 
 Numerical notes: the closed-form h and q are evaluated through
 cancellation-free product forms.  The closed-form p kernels subtract terms
@@ -56,7 +57,6 @@ __all__ = [
     "Kernels",
     "SERIES_THRESHOLD",
     "ZERO_DETUNING",
-    "map_floats",
     "kernels_classical_efield",
     "kernels_quantum_efield",
     "kernels_generic",
@@ -93,25 +93,6 @@ class Kernels:
     def hsq(self) -> Scalar:
         """|h|^2."""
         return np.abs(self.h) ** 2
-
-
-def map_floats(fn, *xs: Scalar) -> tuple:
-    """``fn(*t)``, a tuple of floats, for every entry t of the broadcast ``xs``
-    as Python floats.
-
-    Scalars give the tuple itself, arrays a tuple of arrays of their broadcast
-    shape.  Scalar arithmetic done this way has the bits of the scalar path.
-    """
-    if all(type(x) is float for x in xs):  # the scalar call, without array overhead
-        return fn(*xs)
-    arrs = [np.asarray(x, dtype=float) for x in xs]
-    if len(arrs) > 1:
-        arrs = np.broadcast_arrays(*arrs)
-    shape = arrs[0].shape
-    if not shape:
-        return fn(*map(float, arrs))
-    rows = [fn(*t) for t in zip(*(arr.ravel().tolist() for arr in arrs))]
-    return tuple(np.array(col).reshape(shape) for col in zip(*rows))
 
 
 def _as_tau(tau: Scalar) -> Scalar:
@@ -153,7 +134,8 @@ def kernels_classical_efield(
     y = d * tau
     small = np.abs(y) <= SERIES_THRESHOLD
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau3 = tau * tau * tau
         sin_half_y = np.sin(y / 2.0)
         safe_sq = safe**2
         h = np.where(
@@ -168,25 +150,32 @@ def kernels_classical_efield(
             -eta * g * tau * (2.0 * T - tau) / 2.0,
             -(2.0 * eta * g / safe_sq) * np.sin(d * (2.0 * T - tau) / 2.0) * sin_half_y,
         )
-    (tau3,) = map_floats(lambda t: (t**3,), tau)
+    if not np.isfinite(tau3).all():
+        raise NumericalError(
+            "classical e-field p series coefficient tau^3 overflows "
+            f"(largest tau {np.max(tau):.6g} s)"
+        )
     p_series = -(g**2 * d * tau3 / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
     p = np.where(small, p_series, p_direct)
     return _kernels(h, p, q, odf_on_time=tau)
 
 
-def _quantum_series_coefficients(tau: float, T: float) -> tuple[float, float, float]:
-    """Coefficients of delta, delta^3 and delta^5 in -p/(2 g^2) for the quantum protocol."""
+def _quantum_series_coefficients(tau: Scalar, T: Scalar) -> tuple[Scalar, Scalar, Scalar]:
+    """Coefficients of delta, delta^3 and delta^5 in -p/(2 g^2) for the quantum
+    protocol, on floats or on columns alike (products only, see module docstring)."""
     s = T - tau
-    try:
-        return (
-            tau**3 / 6.0 - tau**2 * s / 2.0,
-            -(tau**5) / 120.0 + tau**2 * s**3 / 12.0 + tau**4 * s / 24.0,
-            tau**7 / 5040.0 - tau**2 * s**5 / 240.0 - tau**4 * s**3 / 144.0 - tau**6 * s / 720.0,
-        )
-    except OverflowError:
+    t2, s2 = tau * tau, s * s
+    t4 = t2 * t2
+    s3 = s2 * s
+    c1 = t2 * tau / 6.0 - t2 * s / 2.0
+    c3 = -(t4 * tau) / 120.0 + t2 * s3 / 12.0 + t4 * s / 24.0
+    c5 = t4 * t2 * tau / 5040.0 - t2 * s3 * s2 / 240.0 - t4 * s3 / 144.0 - t4 * t2 * s / 720.0
+    if not np.isfinite([c1, c3, c5]).all():
         raise NumericalError(
-            f"quantum e-field p series coefficients overflow at tau = {tau!r}, T = {T!r}"
-        ) from None
+            "quantum e-field p series coefficients overflow "
+            f"(largest tau {np.max(tau):.6g} s, T {np.max(T):.6g} s)"
+        )
+    return c1, c3, c5
 
 
 def kernels_quantum_efield(
@@ -210,7 +199,7 @@ def kernels_quantum_efield(
     v = d * s
     small = np.abs(d) * T <= SERIES_THRESHOLD
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sin_half_u, sin_half_v = np.sin(u / 2.0), np.sin(v / 2.0)
         safe_sq = safe**2
         h = np.where(
@@ -224,7 +213,7 @@ def kernels_quantum_efield(
             -g * eta * tau * s,
             -(4.0 * g * eta / safe_sq) * sin_half_u * sin_half_v * np.cos(d * T / 2.0),
         )
-    c1, c3, c5 = map_floats(_quantum_series_coefficients, tau, T)
+        c1, c3, c5 = _quantum_series_coefficients(tau, T)
     p_series = -2.0 * g**2 * (d * c1 + d**3 * c3 + d**5 * c5)
     p = np.where(small, p_series, p_direct)
     return _kernels(h, p, q, odf_on_time=2.0 * tau)

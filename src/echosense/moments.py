@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from .core import ConfigError, NoiseModel
-from .kernels import Kernels, map_floats
+from .kernels import Kernels
 
 __all__ = [
     "SpinMoments",
@@ -68,34 +68,25 @@ def cos_power(x: Scalar, m: int) -> Scalar:
     return sign * np.where(c == 0.0, 0.0, mag)
 
 
-def _depolarization(gamma: float, t_odf: float) -> tuple[float, float]:
-    """Transverse decay factor e^{-gamma t/2} and its square."""
-    depol = math.exp(-gamma * t_odf / 2.0)
-    return depol, depol**2
-
-
-def moments_at_detuning(
-    kernels: Kernels, n_ions: int, noise: NoiseModel, amplitude: float = 1.0
-) -> SpinMoments:
+def moments_at_detuning(kernels: Kernels, n_ions: int, noise: NoiseModel) -> SpinMoments:
     """Evaluate the closed-form moments for one kernel triple.
 
-    ``amplitude`` is the drive amplitude the kernels were built with; q is
-    exactly linear in it, so the returned slope is per unit perturbation.
-    Kernels built at unit amplitude (the default of the kernel functions)
-    need no rescaling.  Kernels on a tau axis (one ``odf_on_time`` per row)
-    give moments of the same shape, row i bitwise those of row i's kernels
-    alone: the depolarization factor and its square are Python floats per row.
+    The kernels must be built at unit drive amplitude (the default of the
+    kernel functions); q is exactly linear in the drive, so the returned
+    slope is per unit perturbation.  Kernels on a tau axis (one
+    ``odf_on_time`` per row) give moments of the same shape, row i bitwise
+    those of row i's kernels alone: every step is the same numpy arithmetic
+    on a float as on a column.
     """
     if n_ions < 2:
         raise ConfigError("moments need n_ions >= 2")
-    if amplitude == 0.0:
-        raise ConfigError("amplitude must be nonzero; build kernels at unit drive")
     n = float(n_ions)
     hsq = kernels.hsq
     p = np.asarray(kernels.p, dtype=float)
-    q = np.asarray(kernels.q, dtype=float) / amplitude
+    q = np.asarray(kernels.q, dtype=float)
 
-    depol, depol_sq = map_floats(lambda t: _depolarization(noise.gamma, t), kernels.odf_on_time)
+    depol = np.exp(-noise.gamma * kernels.odf_on_time / 2.0)
+    depol_sq = depol * depol
     therm = np.exp(-hsq * (noise.nbar + 0.5) / n)
     coherence = depol * therm * cos_power(p / n, n_ions - 1)
 

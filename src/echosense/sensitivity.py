@@ -12,12 +12,13 @@ are deterministic regardless of any data-parallel execution of the nodes.
 
 Many drive times at once (``sensitivity_over_tau``, and ``optimize_tau``'s
 coarse grid) are a single batched evaluation: one call of the kernels (a
-closed form, or ``kernels_generic`` on one schedule per tau) and the moments
-on a ``(n_tau, n_delta)`` grid, reduced by the code of
-``averaged_sensitivity`` (``_reduce``), so that each row is bitwise
-``averaged_sensitivity`` at its tau.  The e-field forms also take a T per
-row, which lets ``optimize_tau`` refine a whole sweep over T in lockstep: one
-batched call per golden-section step serves the searches of every T.
+closed form, or ``kernels_generic`` on one schedule per tau), the moments
+and the node reduction (``_reduce``) on a ``(n_tau, n_delta)`` grid.  One
+drive time runs the same numpy arithmetic on a single row, so each batch row
+is bitwise ``averaged_sensitivity`` at its tau by construction.  The e-field
+forms also take a T per row, which lets ``optimize_tau`` refine a whole sweep
+over T in lockstep: one batched call per golden-section step serves the
+searches of every T.
 
 The perturbative expressions keep terms through second order in the detuning
 spread sigma and lowest order in 1/N.  They are trustworthy for
@@ -47,7 +48,7 @@ from .core import (
 # the kernels_<protocol> closed forms are called by name (Variant.closed_form)
 # in _protocol_kernels
 from .kernels import Kernels, kernels_classical_efield, kernels_generic, kernels_quantum_efield
-from .moments import SpinMoments, moments_at_detuning
+from .moments import moments_at_detuning
 
 __all__ = [
     "QuadratureRule",
@@ -63,7 +64,6 @@ __all__ = [
     "TauOptima",
     "optimize_tau",
     "snr_single_measurement",
-    "SweepRow",
 ]
 
 # quadrature nodes lighter than this cannot flip the domain flag
@@ -141,44 +141,44 @@ def _protocol_kernels(variant: Variant, delta: np.ndarray, **columns) -> Kernels
 
 def _reduce(
     noise: NoiseModel, rule: QuadratureRule, jy_sq: np.ndarray, slope: np.ndarray
-) -> tuple[float, float, float]:
-    """Average one drive time's node values over ``rule`` into the variance,
-    slope and delta_sq of its report (see ``averaged_sensitivity``), with
+) -> tuple:
+    """Average node values over ``rule`` (the last axis) into the variance,
+    slope and delta_sq of a report (see ``averaged_sensitivity``), with
     delta_sq +inf where it is not finite; the one reduction behind every
-    averaged sensitivity.
+    averaged sensitivity, for one row or many.
 
-    Batches are reduced row by row through this, so each row is bitwise the
-    reduction of that row alone: a matrix-vector product, or numpy's array
-    square, can differ in the last bit.  (Done as array operations, the few
-    scalar steps per row cost more than they save.)
+    A batch row is bitwise the reduction of that row alone: each row is the
+    same elementwise product and the same pairwise sum along its nodes.
+    Division by a zero slope warns unless the caller ignores it (``_rows``).
     """
-    jy_sq_av = float(rule.weights.dot(jy_sq))
-    slope_av = float(rule.weights.dot(slope))
+    jy_sq_av = np.add.reduce(jy_sq * rule.weights, axis=-1)
+    slope_av = np.add.reduce(slope * rule.weights, axis=-1)
     variance = jy_sq_av * noise.excess_noise_factor**2
-    slope_sq = slope_av**2
-    delta_sq = variance / slope_sq if slope_sq > 0.0 else math.inf
-    return variance, slope_av, delta_sq if math.isfinite(delta_sq) else math.inf
+    # jy_sq > 0, so the quotient is finite, +inf or nan; fmin sends nan to +inf
+    delta_sq = np.fmin(variance / (slope_av * slope_av), math.inf)
+    return variance, slope_av, delta_sq
 
 
 def _report(
     variant: Variant,
     noise: NoiseModel,
     rule: QuadratureRule,
-    jy_sq: np.ndarray,
-    slope: np.ndarray,
+    variance: float,
+    slope: float,
+    delta_sq: float,
     in_domain: np.ndarray,
 ) -> SensitivityReport:
-    """The report of one drive time's node values."""
-    variance, slope, delta_sq = _reduce(noise, rule, jy_sq, slope)
+    """The report of one drive time's reduced values and node domain flags."""
     if delta_sq == math.inf:
         raise NumericalError(
             f"delta_sq is not finite (averaged signal slope {slope:.3e}): "
             "no usable signal to estimate"
         )
     sql = variant.sql
+    delta_sq = float(delta_sq)
     return SensitivityReport(
-        variance=variance,
-        slope=slope,
+        variance=float(variance),
+        slope=float(slope),
         delta_sq=delta_sq,
         sql=sql,
         thermal_bound=(2.0 * noise.nbar + 1.0) * sql,
@@ -197,24 +197,24 @@ def averaged_sensitivity(
     ratio.  The excess-noise factor multiplies the noise standard deviation,
     i.e. the variance (and delta_sq) by its square.
     """
-    mom = _node_rows(spec, noise, rule)
-    return _report(spec.variant, noise, rule, mom.jy_sq, mom.slope, mom.in_domain)
+    return _report(spec.variant, noise, rule, *_rows(spec, noise, rule))
 
 
-def _node_rows(
-    spec: ProtocolSpec, noise: NoiseModel, rule: QuadratureRule, **columns
-) -> SpinMoments:
-    """Node moments from one batched kernel evaluation, one row per entry
-    of ``columns`` (``tau``, and ``T`` for the e-field forms), which replace
-    ``spec``'s own fields.
+def _rows(spec: ProtocolSpec, noise: NoiseModel, rule: QuadratureRule, **columns) -> tuple:
+    """Variance, slope, delta_sq (``_reduce``) and the node domain flags, one
+    row per entry of ``columns`` (``tau``, and ``T`` for the e-field forms),
+    which replace ``spec``'s own fields; without columns, the values of the
+    spec itself as scalars, beside its flags.
 
-    Overflow to inf or nan raises no warning here: ``_reduce`` and
+    The kernels and moments of all rows are one batched evaluation.  Overflow
+    to inf or nan, and a zero slope, raise no warning here: ``_reduce`` and
     ``_report`` check the reduced values and flag or raise on non-finite ones.
     """
     columns = {key: np.asarray(col, dtype=float).reshape(-1, 1) for key, col in columns.items()}
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kernels = _protocol_kernels(spec.variant, rule.nodes, **columns)
-        return moments_at_detuning(kernels, spec.n_ions, noise)
+        mom = moments_at_detuning(kernels, spec.n_ions, noise)
+        return (*_reduce(noise, rule, mom.jy_sq, mom.slope), mom.in_domain)
 
 
 def sensitivity_over_tau(
@@ -223,22 +223,21 @@ def sensitivity_over_tau(
     """``averaged_sensitivity`` of ``spec`` at every drive time in ``taus``.
 
     ``spec``'s own tau is replaced by each entry of ``taus``; its other fields
-    are kept.  All drive times go through the kernels and the moments in one
-    batched call, and report i is bitwise ``averaged_sensitivity`` at
-    ``taus[i]``.  Where that raises, this raises (at the first such tau).
+    are kept.  All drive times go through the kernels, the moments and the
+    reduction in one batched call, and report i is bitwise
+    ``averaged_sensitivity`` at ``taus[i]``.  Where that raises, this raises
+    (at the first such tau).
     """
-    mom = _node_rows(spec, noise, rule, tau=taus)
-    rows = zip(mom.jy_sq, mom.slope, mom.in_domain)
+    rows = zip(*_rows(spec, noise, rule, tau=taus))
     return [_report(spec.variant, noise, rule, *row) for row in rows]
 
 
 def _delta_sq_rows(
     spec: ProtocolSpec, noise: NoiseModel, rule: QuadratureRule, **columns
 ) -> np.ndarray:
-    """The delta_sq of each row of ``_node_rows``, +inf where
+    """The delta_sq of each row of ``_rows``, +inf where
     ``averaged_sensitivity`` raises NumericalError: ``optimize_tau``'s objective."""
-    mom = _node_rows(spec, noise, rule, **columns)
-    return np.array([_reduce(noise, rule, *row)[2] for row in zip(mom.jy_sq, mom.slope)])
+    return _rows(spec, noise, rule, **columns)[2]
 
 
 def _delta_sq_over_tau(
@@ -389,24 +388,6 @@ def snr_single_measurement(beta: float, g: float, tau: float, noise: NoiseModel)
     return 2.0 * g * tau * beta * math.exp(-gam * tau) / (
         math.sqrt(noise_sq) * noise.excess_noise_factor
     )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One protocol-time point of an optimized sensitivity sweep."""
-
-    T: float
-    tau_opt: float
-    delta_sq: float
-    db_below_sql: float
-    protocol: str
-
-    def __post_init__(self) -> None:
-        cap = Variant.lookup(self.protocol).tau_cap * self.T
-        if not 0.0 < self.tau_opt <= cap * (1.0 + 1e-12):
-            raise ConfigError(
-                f"tau_opt={self.tau_opt} violates the {self.protocol} cap {cap}"
-            )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from echosense.kernels import (
     _as_tau,
     _detuning,
     _kernels,
-    map_floats,
 )
 
 __all__ = ["kernels_displacement", "kernels_readout"]
@@ -47,8 +46,7 @@ def kernels_displacement(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0
         )
         p_direct = (g**2 / safe**2) * (4.0 * sin_y - np.sin(2.0 * y) - 2.0 * y)
         q = np.where(at_zero, -beta * g * tau, -(beta * g / safe) * sin_y)
-    (tau3,) = map_floats(lambda t: (t**3,), tau)
-    p_series = (2.0 / 3.0) * g**2 * d * tau3 * (
+    p_series = (2.0 / 3.0) * g**2 * d * (tau * tau * tau) * (
         1.0 - (7.0 / 20.0) * y**2 + (31.0 / 840.0) * y**4
     )
     p = np.where(small, p_series, p_direct)
@@ -78,7 +76,6 @@ def kernels_readout(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0) -> 
         )
         p_direct = (g**2 / safe**2) * (sin_y - y)
         q = np.where(at_zero, -beta * g * tau, -(beta * g / safe) * sin_y)
-    (tau3,) = map_floats(lambda t: (t**3,), tau)
-    p_series = -(g**2 * d * tau3 / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
+    p_series = -(g**2 * d * (tau * tau * tau) / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
     p = np.where(small, p_series, p_direct)
     return _kernels(h, p, q, odf_on_time=tau)

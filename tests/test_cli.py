@@ -1,12 +1,16 @@
+import io
 import json
 import math
 import re
 import shlex
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from echosense.calibration import pup_model, ring_down_model
 from echosense import cli
@@ -490,6 +494,35 @@ class TestCalibrate:
             assert main(["calibrate", "heating", "--data", str(path)]) == 3
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "kind,text,message",
+        [
+            # wait times up to 1e300 overflow J^T J: the JSON format printed
+            # NaN covariances and errors and exited 0
+            ("heating", "x,y\n0.5054559227921547,0.0005671520929277632\n1e12,1000.0\n"
+             "1e300,0.0005694463403712831\n1e300,0.0003634458469482544\n",
+             "no finite standard errors"),
+            # every wait time 0: the start-value line fit has no solution
+            ("heating", "x,y\n0,0\n0,0\n0,0\n", "no start values"),
+            ("contrast", "x,y\n0,0.5\n0,0.4\n0,0.3\n", "no start values"),
+            # finite residuals over yerr = 1e-300 overflow
+            ("contrast", "x,y,yerr\n0,0,1e-300\n0,0,1e-300\n0,0,1e-300\n0,179769315,1e-300\n",
+             "residuals became non-finite"),
+        ],
+        ids=["far_wait_times", "heating_zero_x", "contrast_zero_x", "tiny_yerr"],
+    )
+    def test_undetermined_fit_exit_3(self, tmp_path, kind, text, message, fmt, capsys):
+        # each used to exit 0 with NaN in its JSON or end in a traceback
+        path = tmp_path / "undetermined.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the start-value line fit warns
+            assert main(["calibrate", kind, "--data", str(path), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_flat_ringdown_exit_3(self, tmp_path, capsys):
         # flat data drive the decay rate negative until the model overflows;
         # that used to exit 0 with a made-up kappa and numpy RuntimeWarnings
@@ -521,3 +554,113 @@ class TestCalibrate:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert row[0] == "gamma_tot"
         assert float(row[1]) == pytest.approx(250.0, rel=0.01)
+
+
+# flag values of the contract property: the edges of float range, the
+# physical scale and the degenerate ones, as given or times the default
+EDGE_VALUES = (0.0, -1.0, 1e-300, 1e-12, 1e-6, 0.5, 2.0, 1e3, 1e6, 1e12, 1e300)
+# grid sizes each run starts from, so that an example costs milliseconds;
+# a drawn grid size stays at most GRID_CAP
+SMALL_GRIDS = {"t_steps": 2, "tau_steps": 3, "steps": 3, "points": 3, "nodes": 8}
+GRID_CAP = 64
+NUMERIC_COMMANDS = sorted(name for name in COMMANDS if name != "calibrate")
+
+
+def _flag_values(key, default):
+    base = SMALL_GRIDS.get(key, default)
+    values = EDGE_VALUES + tuple(v * base for v in EDGE_VALUES)
+    if key in SMALL_GRIDS:
+        values = tuple(v for v in values if abs(v) <= GRID_CAP)
+    # an integer flag gets integral values as integers, others as floats,
+    # which the parser rejects
+    return sorted({
+        str(int(v)) if isinstance(default, int) and float(v).is_integer() else repr(float(v))
+        for v in values
+    })
+
+
+@st.composite
+def _flags(draw, command, min_size):
+    """``--key value`` pairs for ``min_size`` to 3 of ``command``'s numeric keys."""
+    defaults = COMMANDS[command][1]
+    keys = [k for k, v in defaults.items() if not isinstance(v, str)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=min_size, max_size=3, unique=True))
+    argv = []
+    for key in chosen:
+        value = draw(st.sampled_from(_flag_values(key, defaults[key])))
+        argv += ["--" + key.replace("_", "-"), value]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _run_contract(argv, fmt):
+    """Run ``main`` and return its exit code, asserting the contract: exit 0
+    with every printed number finite, exit 2, or exit 3."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv + ["--format", fmt])
+        except SystemExit as exc:  # the parser's own rejection
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    text = out.getvalue()
+    if code == 0 and fmt == "json":
+        payload = json.loads(text, parse_constant=_reject_constant)
+        validate(payload, "fit_result" if argv[0] == "calibrate" else "cli_table")
+    elif code == 0:
+        cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+        numbers = [float(cell) for cell in cells if re.fullmatch(r"[-+0-9.eE]+|nan|-?inf", cell)]
+        assert numbers and all(map(math.isfinite, numbers)), (argv, text)
+    return code
+
+
+class TestContractProperty:
+    """Every command ends in exit 0 with finite numbers, exit 2 or exit 3,
+    whatever its numeric flags; derandomized, so the suite is deterministic."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(NUMERIC_COMMANDS).flatmap(
+        lambda command: st.tuples(st.just(command), _flags(command, 1),
+                                  st.sampled_from(["csv", "json"]))
+    ))
+    def test_numeric_commands(self, case):
+        command, flags, fmt = case
+        base = [
+            f"--{key.replace('_', '-')}={value}"
+            for key, value in SMALL_GRIDS.items()
+            if key in COMMANDS[command][1]
+        ]
+        _run_contract([command, *base, *flags], fmt)
+
+    # every example rewrites the same file, so the function-scoped tmp_path
+    # is safe to share
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.sampled_from(sorted(cli.CALIBRATIONS)),
+        st.lists(
+            st.tuples(*[st.sampled_from(EDGE_VALUES) | st.floats()] * 3), min_size=0, max_size=6
+        ),
+        st.booleans(),
+        _flags("calibrate", 0),
+    )
+    def test_calibrate(self, tmp_path, kind, rows, with_err, flags):
+        path = tmp_path / "data.csv"
+        header = "x,y,yerr" if with_err else "x,y"
+        path.write_text(
+            "\n".join([header] + [",".join(map(repr, row[: 2 + with_err])) for row in rows]) + "\n"
+        )
+        codes = {
+            fmt: _run_contract(["calibrate", kind, "--data", str(path), *flags], fmt)
+            for fmt in ("csv", "json")
+        }
+        # one fit, two renderings: they fail or succeed together
+        assert codes["csv"] == codes["json"], codes

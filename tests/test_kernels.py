@@ -127,6 +127,11 @@ class TestClassicalKernels:
         with pytest.raises(ConfigError):
             kernels_classical_efield(G, 2 * self.T, self.T, 0.0)
 
+    def test_series_overflow_is_numerical_error(self):
+        # tau^3 in the small-detuning series overflows at a finite tau
+        with pytest.raises(NumericalError, match="tau\\^3 overflows"):
+            kernels_classical_efield(G, 1e103, 1e104, np.array([0.0, 1e-60]))
+
 
 class TestQuantumKernels:
     T = 538e-6

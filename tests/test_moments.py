@@ -144,10 +144,6 @@ class TestMomentsAtDetuning:
         with pytest.raises(ConfigError):
             moments_at_detuning(make_kernels(), 1, QUIET)
 
-    def test_zero_amplitude_rejected(self):
-        with pytest.raises(ConfigError):
-            moments_at_detuning(make_kernels(), 4, QUIET, amplitude=0.0)
-
 
 @st.composite
 def tau_axis_kernels(draw):

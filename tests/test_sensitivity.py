@@ -28,7 +28,6 @@ from echosense.core import (
 from echosense.kernels import SERIES_THRESHOLD
 from echosense.sensitivity import (
     QuadratureRule,
-    SweepRow,
     averaged_sensitivity,
     bounds,
     gauss_hermite_rule,
@@ -354,16 +353,6 @@ class TestOptimizeTau:
             optimize_tau("nope", 1e-3, G, QUIET, RULE0, 150)
 
 
-class TestSweepRows:
-    def test_constraints_enforced(self):
-        with pytest.raises(ConfigError):
-            SweepRow(1e-3, 0.6e-3, 1.0, 0.0, "quantum_efield")
-        with pytest.raises(ConfigError):
-            SweepRow(1e-3, 1.2e-3, 1.0, 0.0, "classical_efield")
-        SweepRow(1e-3, 0.5e-3, 1.0, 0.0, "quantum_efield")
-        SweepRow(1e-3, 1.0e-3, 1.0, 0.0, "classical_efield")
-
-
 def per_point(cls, fixed, n_ions, grid, noise, rule):
     """delta_sq of one averaged_sensitivity call per tau, +inf where it raises
     NumericalError: the coarse-grid objective before it was batched."""
@@ -583,7 +572,10 @@ class TestLockstepOptimizer:
         return got, steps
 
     def test_reduction_is_the_scalar_one(self):
-        # about one slope in a thousand squares differently as an array
+        # a batch reduces each row as the one-row call does; both agree with
+        # a dot product in Python floats to a few eps of the summed magnitudes
+        # (the slope cancels, so its error is bounded by sum w |slope|, not
+        # by its value, and delta_sq = variance / slope^2 carries twice that)
         rng = np.random.default_rng(3)
         rule = gauss_hermite_rule(2 * math.pi * 40.0, 64)
         n_rows = 4000
@@ -592,11 +584,21 @@ class TestLockstepOptimizer:
         slope[:3] = 0.0  # no signal
         slope[3] = 1e-160  # delta_sq overflows
         noise = NoiseModel(excess_noise_factor=1.18)
-        got = [sensitivity._reduce(noise, rule, *row) for row in zip(jy_sq, slope)]
-        for i in range(n_rows):
-            assert bits(*got[i]) == bits(*scalar_reduce(noise, rule, jy_sq[i], slope[i]))
-        delta_sq = np.array([row[2] for row in got])
-        assert np.isinf(delta_sq[:4]).all() and np.isfinite(delta_sq[4:]).all()
+        with np.errstate(divide="ignore", over="ignore"):
+            batch = sensitivity._reduce(noise, rule, jy_sq, slope)
+            for i in range(n_rows):
+                one = sensitivity._reduce(noise, rule, jy_sq[i], slope[i])
+                assert bits(*(column[i] for column in batch)) == bits(*one)
+                variance, slope_av, delta_sq = scalar_reduce(noise, rule, jy_sq[i], slope[i])
+                magnitude = rule.weights @ np.abs(slope[i])
+                assert abs(one[0] - variance) <= 1e-15 * variance
+                assert abs(one[1] - slope_av) <= 1e-15 * magnitude
+                if math.isinf(delta_sq):
+                    assert one[2] == delta_sq
+                else:
+                    spread = 1.0 + 2.0 * magnitude / abs(slope_av)
+                    assert abs(one[2] - delta_sq) <= 1e-15 * spread * delta_sq
+        assert np.isinf(batch[2][:4]).all() and np.isfinite(batch[2][4:]).all()
 
     def test_named_sweep_box_bitwise(self):
         rng = np.random.default_rng(12)
