@@ -161,7 +161,11 @@ def _line(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Slope and intercept of the least-squares line through (x, y): a fit's
     start values.  NumericalError where no line is determined (all x zero)."""
     try:
-        return np.polyfit(x, y, 1)
+        # degenerate data overflow polyfit's scaling and make it rank-deficient;
+        # the fit's own checks report that, not numpy's warnings (full=True
+        # returns the rank instead of warning about it)
+        with np.errstate(all="ignore"):
+            return np.polyfit(x, y, 1, full=True)[0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"no start values: the line through the data fails ({exc})") from exc
 

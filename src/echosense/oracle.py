@@ -37,14 +37,15 @@ drive eta adds the Frechet derivative of its exponential (Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 30, 1639 (2009)), built from the zero-drive
 eigenpairs.
 
-Each Jz block has its own Fock cutoff, sized by its own coherent excursion on
-the zero-drive schedule the run propagates (``default_fock_cutoff``; the
-tangent reaches one level further), and the blocks share one zero-padded
-array.  Hamiltonian runs abort with NumericalError when the CSS-weighted
-population of the blocks' top two Fock levels in any ensemble column of B or
-of its tangent dB, relative to that column's norm, exceeds ``leak_tol`` at
-any stage, or when the norm of the zero-drive final state drifts by more than
-1e-10; Lindblad runs keep the norm check and skip the leakage one.
+Each Jz block has its own Fock cutoff, first estimated from its own coherent
+excursion on the zero-drive schedule the run propagates
+(``default_fock_cutoff``), and the blocks share one zero-padded array.
+Hamiltonian runs gate the CSS-weighted population of the blocks' top two Fock
+levels in each ensemble column of B and of its tangent dB, relative to the
+column's norm, at ``leak_tol`` after every stage: default cutoffs grow by 1.25
+up to three times, then the run aborts with NumericalError, as it does at once
+for an explicit ``n_cut`` or when the norm of the zero-drive final state
+drifts by more than 1e-10.  Lindblad runs keep the norm check only.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class ThermalEnsemble:
 class OracleMoments:
     """Exact-evolution moments at zero drive, the drive slope, and diagnostics:
     ``leakage`` is the worst gated top-two-level population (B and dB) and
-    ``n_cut`` the largest block Fock cutoff."""
+    ``n_cut`` the largest block Fock cutoff of the run that passed the gate."""
 
     jx: float
     jy: float
@@ -194,26 +195,22 @@ def default_fock_cutoff(
     n_ions: int,
     ensemble: ThermalEnsemble,
 ) -> np.ndarray:
-    """Fock cutoff of every Jz block m = -N/2..N/2 on a zero-drive schedule:
-    thermal band, the block's own coherent excursion, and a tail margin.
+    """First estimate of the Fock cutoff of every Jz block m = -N/2..N/2 on a
+    zero-drive schedule: the tail of a displaced number state.
 
     Block m reaches |alpha_m| = (|m|/sqrt(N)) max_t|h(t)|; the schedule's
     drives (eta, kick beta) are not counted, since the exact oracle
-    propagates only at zero drive.  The cutoff is
-    n_ens - 1 + alpha_m^2 + 4 alpha_m sqrt(n_ens + 1) + 24, and at least
-    8 (nbar + 1) + alpha_m^2 + 20, rounded up: it keeps the top-two-level
-    population of a displaced Fock state at the top of the thermal band far
-    below 1e-10, and it grows with |m|.  The tangent dB/ds is one application
-    of the drive generator (a^dag - a) to B, so it reaches one level beyond
-    B, well inside the margin.  The leakage gates on B and dB verify every
-    cutoff post hoc.
+    propagates only at zero drive.  The cutoff K is
+    ceil((sqrt(n_top) + alpha_m)^2 + 6.5 alpha_m + 16), n_top the ensemble's
+    top Fock level.  For n <= 160 and alpha <= 14, D(alpha)|n> and its image
+    under the drive generator (a^dag - a), which the tangent dB/ds adds, hold
+    less than 1e-10 of their norm from level K - 1 up; n = 0 sets the 6.5 and
+    the 16.  The leakage gates on B and dB verify every cutoff post hoc.
     """
-    n_ens = len(ensemble.weights)
+    n_top = len(ensemble.weights) - 1
     reach = _max_h_amplitude(schedule, delta) / math.sqrt(n_ions)
     alpha = reach * np.abs(np.arange(n_ions + 1) - n_ions / 2.0)
-    margin = np.ceil(alpha**2 + 4.0 * alpha * math.sqrt(n_ens + 1.0) + 24.0)
-    floor = np.ceil(8.0 * (ensemble.nbar + 1.0) + alpha**2 + 20.0)
-    return np.maximum(n_ens - 1 + margin, floor).astype(int)
+    return np.ceil((math.sqrt(n_top) + alpha) ** 2 + 6.5 * alpha + 16.0).astype(int)
 
 
 def _timeline(schedule: PulseSchedule) -> list[tuple[str, object]]:
@@ -295,13 +292,14 @@ class _ExactRun:
 
     Checks the detuning, the Fock cutoff and the ion cap; defaults the
     ensemble to the vacuum and the Fock cutoffs to ``default_fock_cutoff`` of
-    the zero-drive schedule ``spec.schedule(0.0)``, one per Jz block (an
-    explicit ``n_cut`` gives every block the same one).  Propagates the boson
-    columns e_0..e_{n_comp-1}, n_comp the ensemble length, of the m >= 0
-    blocks only.  Block m lives on the leading cutoffs[m] + 1 rows of one
-    array with n_cut + 1 rows, n_cut the largest cutoff; the rows beyond stay
-    zero.  Holds the coherent spin state, the ladder operators and the block
-    eigenpairs.
+    the zero-drive schedule ``spec.schedule(0.0)``, one per Jz block, which a
+    leakage abort grows by 1.25 (``resize``), at most three times; an
+    explicit ``n_cut`` gives every block the same one and never grows.
+    Propagates the boson columns e_0..e_{n_comp-1}, n_comp the ensemble
+    length, of the m >= 0 blocks only.  Block m lives on the leading
+    cutoffs[m] + 1 rows of one array with n_cut + 1 rows, n_cut the largest
+    cutoff; the rows beyond stay zero.  Holds the coherent spin state, the
+    ladder operators and the block eigenpairs.
 
     Parity P = diag((-1)^n) maps x and y to -x and -y, so
     P H_m(s) P = H_{-m}(-s) at drive scale s.  The columns e_n are parity
@@ -334,31 +332,38 @@ class _ExactRun:
         if n_comp > cutoffs.min():
             raise ConfigError("initial Fock levels exceed the Fock cutoff")
         self.n_ions = n_ions
+        self.delta = delta
         self.weights = ensemble.weights
-        self.cutoffs = cutoffs
-        self.n_cut = int(cutoffs.max())
         self.n_comp = n_comp
         self.leak_tol = leak_tol
+        self.growths = 3 if n_cut is None else 0
         self.css = _css_amplitudes(n_ions)
         self.ops = _ladder_ops(n_ions)
-        self.cache = _BlockCache(delta, self.n_cut)
-        self.worst_leak = 0.0
         m_values = np.arange(n_ions + 1) - n_ions / 2.0
-        half = np.flatnonzero(m_values >= 0.0)
-        self.m_values = m_values[half]
-        self.cuts = cutoffs[half].tolist()
+        self.half = np.flatnonzero(m_values >= 0.0)
+        self.m_values = m_values[self.half]
         # the m >= 0 half stands for its mirror too, which leaks alike
-        probs = self.css[half] ** 2 + self.css[::-1][half] ** 2
-        probs[self.m_values == 0.0] /= 2.0
+        self.probs = (self.css[self.half] ** 2 + self.css[::-1][self.half] ** 2)[:, None]
+        self.probs[self.m_values == 0.0] /= 2.0
+        self.resize(cutoffs)
+
+    def resize(self, cutoffs: np.ndarray) -> None:
+        """Set the block Fock cutoffs and all sized by them; reset the leakage."""
+        self.cutoffs = cutoffs
+        self.n_cut = int(cutoffs.max())
+        self.cuts = cutoffs[self.half].tolist()
+        self.cache = _BlockCache(self.delta, self.n_cut)
+        self.worst_leak = 0.0
         # the mask of each block's own Fock rows, shape (blocks, n_cut+1, 1), and
         # the gate weights, shape (2, blocks * (n_cut+1)): CSS weights on each
         # block's top two rows and on all its rows
-        levels, top = self.cache.levels, cutoffs[half, None]
+        levels, top = self.cache.levels, cutoffs[self.half, None]
         inside = levels <= top
         self.inside = inside[:, :, None]
-        self.gate = (np.array([(levels >= top - 1) & inside, inside]) * probs[:, None]).reshape(2, -1)
+        self.gate = (np.array([(levels >= top - 1) & inside, inside]) * self.probs).reshape(2, -1)
         self.parity = parity = 1.0 - 2.0 * (levels % 2)
         # columns [B | dB]: the tangent columns flip sign under the mirror
+        n_comp = self.n_comp
         self.parity_sign = np.outer(parity, np.concatenate([parity[:n_comp], -parity[:n_comp]]))
 
     def unfold(self, half: np.ndarray) -> np.ndarray:
@@ -376,7 +381,8 @@ class _ExactRun:
         through ``_timeline`` events at drive scale s = 0, with their tangents:
         shape (blocks, n_cut+1, 2 n_comp), columns [B | dB], dB = dB/ds for
         every drive (kick beta, segment eta) scaled by s.  Leakage of B and dB
-        is checked after every segment and kick, per ensemble column.
+        is checked after every segment and kick, per ensemble column, and
+        default cutoffs grow by 1.25 on an abort (``_ExactRun``).
         """
         n_comp = self.n_comp
         blocks = None
@@ -401,6 +407,10 @@ class _ExactRun:
             top, norm = self.gate @ (blocks * blocks.conj()).real.reshape(self.gate.shape[1], -1)
             worst = float((top / np.maximum(norm, _TINY)).max())
             if worst > self.leak_tol:
+                if self.growths:  # default cutoffs grow and the run starts again
+                    self.growths -= 1
+                    self.resize(np.ceil(1.25 * self.cutoffs).astype(int))
+                    return self.propagate(events)
                 raise NumericalError(
                     f"Fock-truncation leakage {worst:.3e} exceeds {self.leak_tol:.1e}; "
                     "increase n_cut"

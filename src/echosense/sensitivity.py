@@ -86,6 +86,8 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
         if nodes.shape != weights.shape:
             raise ConfigError("nodes and weights must have equal length")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ConfigError("quadrature nodes and weights must be finite")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigError("quadrature weights must sum to 1")
         if not np.allclose(nodes, -nodes[::-1], rtol=0.0, atol=1e-9 * (1.0 + np.abs(nodes).max())):
@@ -109,7 +111,9 @@ def gauss_hermite_rule(sigma: float, n_nodes: int = 64) -> QuadratureRule:
         raise ConfigError("n_nodes must be even and >= 2")
     if sigma == 0.0:
         return QuadratureRule(nodes=np.array([0.0]), weights=np.array([1.0]))
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    # from 372 nodes on the weights overflow to NaN, which QuadratureRule rejects
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(n_nodes)
     nodes = math.sqrt(2.0) * sigma * x
     weights = w / math.sqrt(math.pi)
     weights = weights / weights.sum()

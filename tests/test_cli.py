@@ -224,6 +224,17 @@ class TestEfieldSweepFailures:
         )
 
 
+    def test_nan_quadrature_weights_exit_2(self, capsys):
+        # 512 Gauss-Hermite nodes underflow to NaN weights, which used to pass
+        # as a rule and fail later as "not finite anywhere on the coarse grid"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["efield-sweep", "--nodes", "512"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: quadrature nodes and weights must be finite\n"
+
+
 class TestNumericalEdges:
     @pytest.mark.parametrize(
         "argv",
@@ -490,7 +501,8 @@ class TestCalibrate:
         # nbar0 from the rate
         path = tmp_path / "same.csv"
         path.write_text("x,y\n1,0.3\n1,0.4\n1,0.5\n")
-        with pytest.warns(np.exceptions.RankWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the start-value line fit is quiet
             assert main(["calibrate", "heating", "--data", str(path)]) == 3
         assert "singular" in capsys.readouterr().err
 
@@ -516,11 +528,15 @@ class TestCalibrate:
         # each used to exit 0 with NaN in its JSON or end in a traceback
         path = tmp_path / "undetermined.csv"
         path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the start-value line fit warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["calibrate", kind, "--data", str(path), "--format", fmt]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
+        # numpy's overflow and RankWarning from the start-value line fit used
+        # to reach stderr ahead of the failure line
+        assert [str(w.message) for w in caught] == []
+        assert len(captured.err.splitlines()) == 1
         assert message in captured.err
 
     def test_flat_ringdown_exit_3(self, tmp_path, capsys):

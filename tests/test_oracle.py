@@ -23,6 +23,7 @@ from echosense.moments import deformed_transverse_invariant, moments_at_detuning
 from echosense.oracle import (
     ThermalEnsemble,
     _ExactRun,
+    _max_h_amplitude,
     _timeline,
     damped_by_dephasing,
     default_fock_cutoff,
@@ -487,6 +488,109 @@ class TestStructuredCore:
         det = evolve_exact_detail(ProtocolSpec(Custom(schedule), 4), delta, initial=ens)
         ref = _dense_exact(ProtocolSpec(Custom(schedule), 4), delta, det.n_cut, 0.5)
         assert det.slope == pytest.approx(ref["slope"], rel=1e-9)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_even_in_detuning(self, protocol):
+        # at zero drive H_m(-delta) = -P H_m(delta) P, so every moment and the
+        # slope are even in delta, and the default cutoffs are too
+        variant = _protocol(protocol, np.random.default_rng([13, PROTOCOLS.index(protocol)]))
+        ens = ThermalEnsemble.from_nbar(0.7)
+        for n_ions in (2, 3, 4, 5):
+            spec = ProtocolSpec(variant, n_ions)
+            plus, minus = (evolve_exact_detail(spec, d, initial=ens) for d in (0.13 * G, -0.13 * G))
+            assert plus.n_cut == minus.n_cut
+            for key in ("jx", "jy_sq", "jpm_sym", "slope"):
+                assert getattr(minus, key) == pytest.approx(getattr(plus, key), rel=1e-13)
+
+
+def _old_fock_cutoff(schedule, delta, n_ions, ensemble):
+    """The a-priori rule the tail-shaped first estimate replaced: thermal
+    band plus alpha^2 + 4 alpha sqrt(n_ens + 1) + 24, with a floor."""
+    n_ens = len(ensemble.weights)
+    reach = _max_h_amplitude(schedule, delta) / math.sqrt(n_ions)
+    alpha = reach * np.abs(np.arange(n_ions + 1) - n_ions / 2.0)
+    margin = np.ceil(alpha**2 + 4.0 * alpha * math.sqrt(n_ens + 1.0) + 24.0)
+    floor = np.ceil(8.0 * (ensemble.nbar + 1.0) + alpha**2 + 20.0)
+    return np.maximum(n_ens - 1 + margin, floor).astype(int)
+
+
+class TestFockSizing:
+    """The first-estimate cutoffs, and their growth on a leakage abort."""
+
+    @staticmethod
+    def counting_propagations(monkeypatch) -> list:
+        """Record the block cutoffs of every propagation, regrowths included."""
+        sizes = []
+        propagate = _ExactRun.propagate
+
+        def counted(run, events):
+            sizes.append(run.cutoffs.copy())
+            return propagate(run, events)
+
+        monkeypatch.setattr(_ExactRun, "propagate", counted)
+        return sizes
+
+    def test_broad_draws_match_old_rule(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        sizes = self.counting_propagations(monkeypatch)
+        for i in range(20):
+            protocol = PROTOCOLS[i % 4]
+            tau = rng.uniform(0.2, 1.5) / G
+            variant = {
+                "displacement": Displacement(G, tau, 0.0),
+                "readout": ReadoutOnly(G, tau, 0.0),
+                "classical_efield": ClassicalEField(G, tau, rng.uniform(2.01, 4.0) * tau, 0.0),
+                "quantum_efield": QuantumEField(G, tau, rng.uniform(2.01, 4.0) * tau, 0.0),
+            }[protocol]
+            n_ions = int(rng.integers(2, 13))
+            spec = ProtocolSpec(variant, n_ions)
+            ens = ThermalEnsemble.from_nbar(float(rng.uniform(0.0, 5.0)))
+            delta = float(rng.uniform(-0.5, 0.5)) * G
+            sizes.clear()
+            new = evolve_exact_detail(spec, delta, initial=ens)
+            # one propagation: the first estimate passed the gate, no growth
+            assert len(sizes) == 1
+            run = _ExactRun(spec, delta, None, ens, 1e-10)
+            old_cutoffs = _old_fock_cutoff(spec.schedule(0.0), delta, n_ions, ens)
+            assert np.all(run.cutoffs <= old_cutoffs)
+            run.resize(old_cutoffs)
+            old = run.moments(run.unfold(run.propagate(_timeline(variant.unit_drive().schedule()))))
+            for key in ("jx", "jy_sq", "jpm_sym"):
+                assert abs(getattr(new, key) - old[key]) <= 1e-10 * n_ions / 2.0
+            assert new.slope == pytest.approx(old["slope"], rel=1e-10)
+
+    def test_growth_on_abort(self, monkeypatch):
+        # a gate at 1e-20 aborts the first estimate, which leaks 1.7e-15 in
+        # this long readout pulse; one growth by 1.25 leaks 2.3e-24
+        spec = ProtocolSpec(ReadoutOnly(G, 3.0 / G, 0.0), 11)
+        delta = 0.28 * G
+        first = _ExactRun(spec, delta, None, None, 1e-10).cutoffs
+        sizes = self.counting_propagations(monkeypatch)
+        grown = evolve_exact_detail(spec, delta, leak_tol=1e-20)
+        assert len(sizes) == 2
+        assert np.array_equal(sizes[0], first)
+        assert np.array_equal(sizes[1], np.ceil(1.25 * first).astype(int))
+        assert grown.n_cut == sizes[1].max()
+        assert grown.leakage <= 1e-20
+        wide = evolve_exact_detail(spec, delta, n_cut=2 * grown.n_cut)
+        assert grown.jx == pytest.approx(wide.jx, rel=1e-12)
+        assert grown.jy_sq == pytest.approx(wide.jy_sq, rel=1e-12)
+        assert grown.jpm_sym == pytest.approx(wide.jpm_sym, rel=1e-12)
+        assert grown.slope == pytest.approx(wide.slope, rel=1e-10)
+
+    def test_growth_limit_and_explicit_cutoff(self, monkeypatch):
+        spec = ProtocolSpec(Displacement(G, 1.0 / G, 0.0), 4)
+        ens = ThermalEnsemble.from_nbar(0.5)
+        sizes = self.counting_propagations(monkeypatch)
+        # no cutoff passes a gate at 1e-300: three growths, then the abort
+        with pytest.raises(NumericalError, match="leakage"):
+            evolve_exact_detail(spec, 0.1 * G, initial=ens, leak_tol=1e-300)
+        assert len(sizes) == 4
+        assert np.all(sizes[3] > sizes[0])
+        sizes.clear()
+        with pytest.raises(NumericalError, match="leakage"):
+            evolve_exact_detail(spec, 0.1 * G, n_cut=60, initial=ens, leak_tol=1e-300)
+        assert len(sizes) == 1
 
 
 G_E = 2 * math.pi * 3880.0

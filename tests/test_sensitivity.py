@@ -72,6 +72,24 @@ class TestGaussHermiteRule:
         with pytest.raises(ConfigError):
             QuadratureRule(nodes=np.array([-1.0, 1.0]), weights=np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize(
+        "nodes,weights",
+        [([0.0], [math.nan]), ([-math.inf, math.inf], [0.5, 0.5]), ([-1.0, 1.0], [math.inf, 0.5])],
+        ids=["nan_weight", "inf_nodes", "inf_weight"],
+    )
+    def test_non_finite_rule_rejected(self, nodes, weights):
+        # abs(nan - 1.0) > 1e-12 is False, so the sum check let NaN through
+        with pytest.raises(ConfigError, match="finite"):
+            QuadratureRule(nodes=np.array(nodes), weights=np.array(weights))
+
+    @pytest.mark.parametrize("n", [372, 512, 1000])
+    def test_too_many_nodes_rejected(self, n):
+        # from 372 nodes on numpy's Gauss-Hermite weights are NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite"):
+                gauss_hermite_rule(1.0, n)
+
 
 class TestAveragedSensitivity:
     def test_ideal_displacement(self):
