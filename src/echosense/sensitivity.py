@@ -9,6 +9,11 @@ built from many experimental trials), then forms
 Averages use Gauss-Hermite quadrature rescaled to the detuning distribution;
 node evaluations are independent and summed in fixed node order, so results
 are deterministic regardless of any data-parallel execution of the nodes.
+numpy's unscaled Hermite rule is solved once per node count, cached
+read-only.  The moments are even in the detuning, so a rule that is bitwise
+a mirror pair (``QuadratureRule.half``, as every ``gauss_hermite_rule`` is)
+evaluates them on its non-negative nodes only, mirrored back onto all nodes
+before the unchanged reduction; any other rule evaluates every node.
 
 Many drive times at once (``sensitivity_over_tau``, and ``optimize_tau``'s
 coarse grid) are a single batched evaluation: one call of the kernels (a
@@ -32,7 +37,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -98,6 +103,24 @@ class QuadratureRule:
         """Mask of the nodes heavy enough to flip the domain flag."""
         return self.weights > NEGLIGIBLE_WEIGHT
 
+    @cached_property
+    def half(self) -> int | None:
+        """n // 2 when the rule is bitwise a mirror pair (even n, exactly
+        ``nodes[::-1] == -nodes`` and ``weights[::-1] == weights``), else None."""
+        n, nodes, weights = len(self.nodes), self.nodes, self.weights
+        mirror = np.array_equal(nodes[::-1], -nodes) and np.array_equal(weights[::-1], weights)
+        return n // 2 if n % 2 == 0 and mirror else None
+
+
+@cache
+def _hermite_base(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Hermite nodes and weights, read-only: rules scale copies."""
+    # from 372 nodes on the weights overflow to NaN, which QuadratureRule rejects
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
 
 def gauss_hermite_rule(sigma: float, n_nodes: int = 64) -> QuadratureRule:
     """Gauss-Hermite rule rescaled to a zero-mean normal with std sigma.
@@ -111,9 +134,7 @@ def gauss_hermite_rule(sigma: float, n_nodes: int = 64) -> QuadratureRule:
         raise ConfigError("n_nodes must be even and >= 2")
     if sigma == 0.0:
         return QuadratureRule(nodes=np.array([0.0]), weights=np.array([1.0]))
-    # from 372 nodes on the weights overflow to NaN, which QuadratureRule rejects
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    x, w = _hermite_base(n_nodes)
     nodes = math.sqrt(2.0) * sigma * x
     weights = w / math.sqrt(math.pi)
     weights = weights / weights.sum()
@@ -215,10 +236,17 @@ def _rows(spec: ProtocolSpec, noise: NoiseModel, rule: QuadratureRule, **columns
     ``_report`` check the reduced values and flag or raise on non-finite ones.
     """
     columns = {key: np.asarray(col, dtype=float).reshape(-1, 1) for key, col in columns.items()}
+    half = rule.half
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kernels = _protocol_kernels(spec.variant, rule.nodes, **columns)
+        kernels = _protocol_kernels(spec.variant, rule.nodes[half:], **columns)
         mom = moments_at_detuning(kernels, spec.n_ions, noise)
-        return (*_reduce(noise, rule, mom.jy_sq, mom.slope), mom.in_domain)
+        jy_sq, slope, in_domain = mom.jy_sq, mom.slope, mom.in_domain
+        if half is not None:
+            # the moments are even in delta: mirror the non-negative nodes
+            jy_sq, slope, in_domain = (
+                np.concatenate([x[..., ::-1], x], axis=-1) for x in (jy_sq, slope, in_domain)
+            )
+        return (*_reduce(noise, rule, jy_sq, slope), in_domain)
 
 
 def sensitivity_over_tau(

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from echosense.calibration import pup_model, ring_down_model
 from echosense import cli
 from echosense.cli import COMMANDS, _merged, build_parser, main
+from echosense.core import TWO_PI, ConfigError
+from echosense.sensitivity import gauss_hermite_rule
 from echosense.schemas import load_schema
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -263,6 +265,33 @@ class TestNumericalEdges:
             assert cells and all(math.isfinite(float(cell)) for cell in cells)
         else:
             assert code in (2, 3) and out == ""
+
+
+class TestQuadratureConvergence:
+    """The default 64 Gauss-Hermite nodes are converged where the sweeps are
+    read: against 128 nodes, the default efield-sweep rows agree to 1e-12
+    (measured 1.2e-13) and displacement-sweep's delta_sq up to tau 450 us
+    (measured 3.6e-13).  displacement-sweep's tail is not converged (delta_sq
+    off by 1.2e-4 at 600 us) and is not asserted."""
+
+    @staticmethod
+    def rows(tmp_path, argv):
+        code, out = run_to_file(tmp_path, "sweep.json", argv + ["--format", "json"])
+        assert code == 0
+        return np.array(json.loads(out.read_text())["rows"])
+
+    def test_efield_sweep(self, tmp_path):
+        rows = self.rows(tmp_path, ["efield-sweep"])
+        fine = self.rows(tmp_path, ["efield-sweep", "--nodes", "128"])
+        assert np.all(np.abs(rows - fine) <= 1e-12 * np.abs(fine))
+
+    def test_displacement_sweep_up_to_450_us(self, tmp_path):
+        rows = self.rows(tmp_path, ["displacement-sweep"])
+        fine = self.rows(tmp_path, ["displacement-sweep", "--nodes", "128"])
+        head = rows[:, 0] <= 450e-6 * (1.0 + 1e-12)
+        assert head.sum() == 87
+        exact, fine_exact = rows[head, 1], fine[head, 1]
+        assert np.all(np.abs(exact - fine_exact) <= 1e-12 * fine_exact)
 
 
 class TestParserReuse:
@@ -651,6 +680,23 @@ class TestContractProperty:
             if key in COMMANDS[command][1]
         ]
         _run_contract([command, *base, *flags], fmt)
+
+    # the quadrature rule alone, so that --nodes can reach past where numpy's
+    # Hermite weights turn NaN (372) without running a sweep per example
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 370, 372, 1000]) | st.integers(1, 500).map(lambda k: 2 * k),
+        st.sampled_from(_flag_values("sigma_hz", COMMANDS["efield-sweep"][1]["sigma_hz"])),
+    )
+    def test_nodes_rule(self, nodes, sigma_hz):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rule = gauss_hermite_rule(TWO_PI * float(sigma_hz), nodes)
+            except ConfigError:
+                return
+        assert np.isfinite(rule.nodes).all() and np.isfinite(rule.weights).all()
+        assert len(rule.nodes) == (1 if float(sigma_hz) == 0.0 else nodes)
 
     # every example rewrites the same file, so the function-scoped tmp_path
     # is safe to share

@@ -1,0 +1,52 @@
+"""Default CLI outputs against the committed golden files in ``tests/golden``.
+
+``manifest.json`` maps each golden file to the command line that made it and
+records the numpy and Python versions it was made with.  A change that moves
+an output on purpose regenerates the file (``echosense <command> --out
+tests/golden/<file>``) and lists the moved rows.
+"""
+
+import csv
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from echosense.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+
+
+def first_difference(expected: str, got: str) -> str:
+    """The first differing row and column of two CSV texts, as a message."""
+    want, have = list(csv.reader(expected.splitlines())), list(csv.reader(got.splitlines()))
+    if want[0] != have[0]:
+        return f"header {have[0]} != golden {want[0]}"
+    for index, (row_want, row_have) in enumerate(zip(want[1:], have[1:]), start=1):
+        for column, cell_want, cell_have in zip(want[0], row_want, row_have):
+            if cell_want != cell_have:
+                return f"row {index}, column {column}: {cell_have} != golden {cell_want}"
+    return f"{len(have) - 1} rows != golden {len(want) - 1}"
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST["outputs"]))
+def test_default_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert main(MANIFEST["outputs"][name] + ["--out", str(out)]) == 0
+    expected, got = (GOLDEN / name).read_text(), out.read_text()
+    made = MANIFEST["made_with"]
+    assert got == expected, (
+        f"{name}: {first_difference(expected, got)} (golden made with numpy "
+        f"{made['numpy']}, Python {made['python']}; this run numpy {np.__version__}, "
+        f"Python {platform.python_version()})"
+    )
+
+
+def test_first_difference_names_row_and_column():
+    golden = "a,b\n1,2\n3,4\n"
+    assert first_difference(golden, "a,b\n1,2\n3,5\n") == "row 2, column b: 5 != golden 4"
+    assert first_difference(golden, "a,b\n1,2\n") == "1 rows != golden 2"
+    assert first_difference(golden, "a,c\n1,2\n3,4\n").startswith("header")

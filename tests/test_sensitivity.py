@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echosense import sensitivity
+from echosense.cli import main
 from echosense.core import (
     ClassicalEField,
     ConfigError,
@@ -26,6 +27,7 @@ from echosense.core import (
     protocol_spec_to_json,
 )
 from echosense.kernels import SERIES_THRESHOLD
+from echosense.moments import moments_at_detuning
 from echosense.sensitivity import (
     QuadratureRule,
     averaged_sensitivity,
@@ -89,6 +91,36 @@ class TestGaussHermiteRule:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="finite"):
                 gauss_hermite_rule(1.0, n)
+
+    @pytest.mark.parametrize("n", [2, 32, 64, 128, 370])
+    def test_rule_is_a_fresh_hermgauss_rule(self, n):
+        # the base rule is solved once per node count; each rule is bitwise
+        # the one built from a fresh hermgauss solve
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x, w = np.polynomial.hermite.hermgauss(n)
+        for sigma in (1e-3, 2 * math.pi * 40.0, 1e6):
+            rule = gauss_hermite_rule(sigma, n)
+            weights = w / math.sqrt(math.pi)
+            assert rule.nodes.tobytes() == (math.sqrt(2.0) * sigma * x).tobytes()
+            assert rule.weights.tobytes() == (weights / weights.sum()).tobytes()
+
+    def test_rules_do_not_share_arrays(self):
+        sigma = 2 * math.pi * 40.0
+        first = gauss_hermite_rule(sigma, 64)
+        nodes, weights = first.nodes.copy(), first.weights.copy()
+        first.nodes[:] = 1.0
+        first.weights[:] = 0.0
+        second = gauss_hermite_rule(sigma, 64)
+        assert second.nodes.tobytes() == nodes.tobytes()
+        assert second.weights.tobytes() == weights.tobytes()
+
+    def test_too_many_nodes_rejected_again(self, capsys):
+        # the NaN base rule is cached too, and still fails every rule built on it
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="finite"):
+                gauss_hermite_rule(2 * math.pi * 40.0, 512)
+            assert main(["efield-sweep", "--nodes", "512"]) == 2
+        assert capsys.readouterr().err.count("must be finite") == 2
 
 
 class TestAveragedSensitivity:
@@ -718,6 +750,123 @@ class TestLockstepOptimizer:
     def test_bad_T_axis_rejected(self, T):
         with pytest.raises(ConfigError, match="T must be"):
             optimize_tau("quantum", T, G, QUIET, RULE0, 150)
+
+
+def full_rows(spec, noise, rule, **columns):
+    """``_rows`` without the parity half: kernels and moments on every node
+    of ``rule``, then ``_reduce``; the node slopes come last."""
+    columns = {key: np.asarray(col, dtype=float).reshape(-1, 1) for key, col in columns.items()}
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kernels = sensitivity._protocol_kernels(spec.variant, rule.nodes, **columns)
+        mom = moments_at_detuning(kernels, spec.n_ions, noise)
+        reduced = sensitivity._reduce(noise, rule, mom.jy_sq, mom.slope)
+        return (*reduced, mom.in_domain, mom.slope)
+
+
+def cut_up(variant, fractions):
+    """``variant``'s unit-drive schedule as a Custom one, each segment cut at
+    ``fractions`` of its duration."""
+    schedule = variant.unit_drive().schedule(1.0)
+    pieces = []
+    for seg in schedule.segments:
+        edges = [0.0] + [f * seg.duration for f in fractions] + [seg.duration]
+        pieces += [Segment(b - a, seg.g, seg.eta) for a, b in zip(edges, edges[1:])]
+    return Custom(PulseSchedule(tuple(pieces), schedule.kicks))
+
+
+class TestParityHalf:
+    """The moments are even in delta, so a bitwise mirror-symmetric rule
+    evaluates the kernels and moments on its non-negative half only."""
+
+    def test_every_hermite_rule_takes_the_half_path(self):
+        for n in (2, 4, 32, 64, 128, 370):
+            for sigma in (1e-3, 2 * math.pi * 40.0, 1e6):
+                assert gauss_hermite_rule(sigma, n).half == n // 2
+        assert RULE0.half is None
+
+    def test_efield_closed_forms_bitwise(self):
+        # the draws of TestLockstepOptimizer.test_named_sweep_box_bitwise
+        rng = np.random.default_rng(12)
+        for draw in range(5):
+            t_min = rng.uniform(0.2, 1.0)
+            Ts = np.linspace(t_min, rng.uniform(t_min + 0.2, 2.0), int(rng.integers(2, 7))) * 1e-3
+            g = 2 * math.pi * rng.uniform(3000.0, 4500.0)
+            noise = NoiseModel(
+                sigma=2 * math.pi * rng.uniform(10.0, 60.0), nbar=rng.uniform(0.0, 8.0),
+                gamma=rng.uniform(200.0, 800.0),
+            )
+            rule = gauss_hermite_rule(noise.sigma, (32, 64)[draw % 2])
+            n_ions = int(rng.integers(20, 301))
+            assert rule.half == len(rule.nodes) // 2
+            for cls in (QuantumEField, ClassicalEField):
+                for T in Ts.tolist():
+                    hi = cls.tau_cap * T
+                    spec = ProtocolSpec(cls(g, hi, T), n_ions)
+                    taus = np.linspace(hi / 256.0, hi, 64)
+                    got = sensitivity._rows(spec, noise, rule, tau=taus)
+                    ref = full_rows(spec, noise, rule, tau=taus)
+                    assert bits(*got[:3]) == bits(*ref[:3])
+                    assert np.array_equal(got[3], ref[3])
+                # one (tau, T) pair per row, as the lockstep search asks
+                T_col = np.repeat(Ts, 8)
+                tau_col = T_col * cls.tau_cap * np.tile(np.linspace(0.05, 1.0, 8), len(Ts))
+                got = sensitivity._rows(spec, noise, rule, tau=tau_col, T=T_col)
+                ref = full_rows(spec, noise, rule, tau=tau_col, T=T_col)
+                assert bits(*got[:3]) == bits(*ref[:3])
+                assert np.array_equal(got[3], ref[3])
+
+    def test_generic_engine_within_reduction_error(self):
+        # the generic kernels are not bitwise even in delta at every entry
+        # (6 of the 7 488 node slopes of the default displacement grid differ
+        # from their mirror by up to 1.9e-14 relative), so the half path is
+        # held to the bound of test_reduction_is_the_scalar_one; measured 0:
+        # every reduced value here is bitwise the full-node one
+        noise = NoiseModel(sigma=2 * math.pi * 40.0, nbar=5.0, gamma=610.0)
+        taus = np.linspace(20e-6, 600e-6, 117)
+        for nodes in (32, 64, 128):
+            rule = gauss_hermite_rule(noise.sigma, nodes)
+            cases = [
+                (ProtocolSpec(Displacement(G, taus[0]), 150), {"tau": taus}),
+                (ProtocolSpec(ReadoutOnly(G, taus[0]), 150), {"tau": taus}),
+            ] + [
+                (ProtocolSpec(cut_up(Displacement(G, tau), (0.3, 0.71)), 150), {})
+                for tau in taus[::8]
+            ]
+            for spec, columns in cases:
+                got = sensitivity._rows(spec, noise, rule, **columns)
+                ref = full_rows(spec, noise, rule, **columns)
+                assert np.array_equal(got[3], ref[3])
+                magnitude = np.add.reduce(np.abs(ref[4]) * rule.weights, axis=-1)
+                variance, slope_av, delta_sq = (np.asarray(x) for x in got[:3])
+                ref_variance, ref_slope, ref_delta_sq = (np.asarray(x) for x in ref[:3])
+                assert np.all(np.abs(variance - ref_variance) <= 1e-15 * ref_variance)
+                assert np.all(np.abs(slope_av - ref_slope) <= 1e-15 * magnitude)
+                spread = 1.0 + 2.0 * magnitude / np.abs(ref_slope)
+                assert np.all(np.abs(delta_sq - ref_delta_sq) <= 1e-15 * spread * ref_delta_sq)
+
+    def test_rules_that_are_not_bitwise_mirrors_take_the_full_path(self, monkeypatch):
+        seen = []
+        kernels = sensitivity._protocol_kernels
+
+        def spy(variant, delta, **columns):
+            seen.append(len(delta))
+            return kernels(variant, delta, **columns)
+
+        monkeypatch.setattr(sensitivity, "_protocol_kernels", spy)
+        noise = NoiseModel(sigma=2 * math.pi * 40.0, nbar=5.0, gamma=610.0)
+        rule = gauss_hermite_rule(noise.sigma, 32)
+        nodes = rule.nodes.copy()
+        nodes[3] *= 1.0 + 1e-12  # within QuadratureRule's 1e-9 symmetry tolerance
+        nudged = QuadratureRule(nodes=nodes, weights=rule.weights)
+        assert nudged.half is None
+        spec = ProtocolSpec(QuantumEField(G, 2e-4, 1e-3), 150)
+        for r in (rule, nudged, RULE0):
+            averaged_sensitivity(spec, noise, r)
+            sensitivity_over_tau(spec, np.array([1e-4, 2e-4, 3e-4]), noise, r)
+        assert seen == [16, 16, 32, 32, 1, 1]
+        # the nudged rule gives the value of the full-node evaluation
+        got = sensitivity._rows(spec, noise, nudged)
+        assert bits(*got[:3]) == bits(*full_rows(spec, noise, nudged)[:3])
 
 
 def signed(lo, hi):
