@@ -18,9 +18,7 @@ The bright-fraction model uses the closed form
 the Gaussian average of the echo-sequence coherence to second order in the
 detuning.  The last term carries tau^6: it is the square of the quadratic
 -in-tau squeezing phase, and tau^6 is the only power with a dimensionless
-coefficient g^4 sigma^2 tau^6.  ``pup_model_exact`` averages the full
-coherence numerically and agrees with the closed form at the percent level
-over the calibration range, pinning that exponent.
+coefficient g^4 sigma^2 tau^6.
 """
 
 from __future__ import annotations
@@ -33,16 +31,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import ConfigError, Displacement, NoiseModel, NumericalError, population_up
-from .kernels import kernels_generic
-from .moments import moments_at_detuning
-from .sensitivity import gauss_hermite_rule
+from .core import ConfigError, NumericalError
 
 __all__ = [
     "CalibrationDataset",
     "FitResult",
     "pup_model",
-    "pup_model_exact",
     "fit_sigma",
     "fit_contrast",
     "gamma_el_from_gamma_tot",
@@ -243,31 +237,6 @@ def pup_model(
     )
     out = 0.5 - 0.5 * np.exp(-2.0 * gamma_tot * tau) / root
     return float(out) if out.ndim == 0 else out
-
-
-def pup_model_exact(
-    tau: float,
-    g: float,
-    sigma: float,
-    nbar: float,
-    n_ions: int,
-    gamma_tot: float,
-    n_nodes: int = 64,
-) -> float:
-    """Bright fraction from the numerically averaged echo coherence.
-
-    Averages the exact <Jx> of the undriven echo sequence over the detuning
-    distribution (spin depolarization applied as exp(-2 Gamma_tot tau)) and
-    converts to population with the 2<J>/N normalization.
-    """
-    if tau == 0.0:
-        return 0.0
-    rule = gauss_hermite_rule(sigma, n_nodes)
-    kernels = kernels_generic(Displacement(g, tau, 1.0).schedule(), rule.nodes)
-    mom = moments_at_detuning(kernels, n_ions, NoiseModel(nbar=nbar))
-    jx_av = float(rule.weights @ np.atleast_1d(mom.jx_mean))
-    jx_av *= math.exp(-2.0 * gamma_tot * tau)
-    return population_up(jx_av, n_ions)
 
 
 def fit_sigma(

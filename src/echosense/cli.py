@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import calibration, entanglement
+from . import entanglement
 from .core import (
     ConfigError,
     Displacement,
@@ -339,24 +339,29 @@ CALIBRATE_DEFAULTS = {
 }
 
 
+# kind -> fit(calibration module, data, cfg); cmd_calibrate imports the module,
+# so scipy.optimize loads only when a calibration runs
 CALIBRATIONS = {
-    "sigma": lambda data, cfg: calibration.fit_sigma(
+    "sigma": lambda cal, data, cfg: cal.fit_sigma(
         data,
         g=TWO_PI * cfg["g_hz"],
         nbar=cfg["nbar"],
         n_ions=cfg["n_ions"],
         gamma_tot=cfg["gamma_tot"],
     ),
-    "contrast": lambda data, cfg: calibration.fit_contrast(data),
-    "ringdown": lambda data, cfg: calibration.fit_ring_down(
+    "contrast": lambda cal, data, cfg: cal.fit_contrast(data),
+    "ringdown": lambda cal, data, cfg: cal.fit_ring_down(
         data, gamma_tot=cfg["gamma_tot"], tau=cfg["tau_us"] * 1e-6
     ),
-    "heating": lambda data, cfg: calibration.fit_heating_rate(data),
+    "heating": lambda cal, data, cfg: cal.fit_heating_rate(data),
 }
 
 
 def cmd_calibrate(args: argparse.Namespace, cfg: dict) -> int:
-    fit = CALIBRATIONS[args.kind](calibration.CalibrationDataset.from_csv(args.data), cfg)
+    from . import calibration
+
+    data = calibration.CalibrationDataset.from_csv(args.data)
+    fit = CALIBRATIONS[args.kind](calibration, data, cfg)
     errors = {name: fit.error(name) for name in fit.params}
     if args.format == "csv":
         rows = [[name, fit.params[name], errors[name]] for name in fit.params]

@@ -15,15 +15,17 @@ a mirror pair (``QuadratureRule.half``, as every ``gauss_hermite_rule`` is)
 evaluates them on its non-negative nodes only, mirrored back onto all nodes
 before the unchanged reduction; any other rule evaluates every node.
 
-Many drive times at once (``sensitivity_over_tau``, and ``optimize_tau``'s
-coarse grid) are a single batched evaluation: one call of the kernels (a
-closed form, or ``kernels_generic`` on one schedule per tau), the moments
-and the node reduction (``_reduce``) on a ``(n_tau, n_delta)`` grid.  One
-drive time runs the same numpy arithmetic on a single row, so each batch row
-is bitwise ``averaged_sensitivity`` at its tau by construction.  The e-field
-forms also take a T per row, which lets ``optimize_tau`` refine a whole sweep
-over T in lockstep: one batched call per golden-section step serves the
-searches of every T.
+Many drive times at once (``sensitivity_over_tau``, and every call of
+``optimize_tau``'s objective) are a single batched evaluation: one call of
+the kernels (a closed form, or ``kernels_generic`` on one schedule per tau),
+the moments and the node reduction (``_reduce``) on a ``(n_tau, n_delta)``
+grid.  One drive time runs the same numpy arithmetic on a single row, so each
+batch row is bitwise ``averaged_sensitivity`` at its tau by construction.
+The e-field forms also take a T per row, so ``optimize_tau`` handles a whole
+sweep over T with one objective: one call holds the coarse grids of every T,
+and one call per golden-section step serves the searches of every T.  Its
+grid size and stopping width are the module constants ``TAU_GRID_POINTS`` and
+``TAU_TOL``, not arguments.
 
 The perturbative expressions keep terms through second order in the detuning
 spread sigma and lowest order in 1/N.  They are trustworthy for
@@ -34,7 +36,6 @@ full-numerics path should be believed.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
@@ -75,6 +76,11 @@ __all__ = [
 NEGLIGIBLE_WEIGHT = 1e-12
 
 PERTURBATIVE_TRUST_LIMIT = 0.5  # on 2*sigma*tau
+
+# optimize_tau: coarse grid points per protocol time T, and the bracket
+# width (seconds) at which a golden-section search stops
+TAU_GRID_POINTS = 64
+TAU_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -264,22 +270,6 @@ def sensitivity_over_tau(
     return [_report(spec.variant, noise, rule, *row) for row in rows]
 
 
-def _delta_sq_rows(
-    spec: ProtocolSpec, noise: NoiseModel, rule: QuadratureRule, **columns
-) -> np.ndarray:
-    """The delta_sq of each row of ``_rows``, +inf where
-    ``averaged_sensitivity`` raises NumericalError: ``optimize_tau``'s objective."""
-    return _rows(spec, noise, rule, **columns)[2]
-
-
-def _delta_sq_over_tau(
-    spec: ProtocolSpec, taus: np.ndarray, noise: NoiseModel, rule: QuadratureRule
-) -> np.ndarray:
-    """``_delta_sq_rows`` at every drive time in ``taus``: the objective on one
-    coarse grid of ``optimize_tau``."""
-    return _delta_sq_rows(spec, noise, rule, tau=taus)
-
-
 @dataclass(frozen=True)
 class PerturbativeSensitivity:
     """Perturbative sensitivity with each contribution separately retrievable.
@@ -447,13 +437,6 @@ class TauOptima:
         return float(self.tau_opt[i]), float(self.delta_sq[i])
 
 
-def _local_minima(values: np.ndarray) -> int:
-    """Strict local minima of a grid, its two ends included."""
-    inner = values[1:-1]
-    interior = np.count_nonzero((inner < values[:-2]) & (inner < values[2:]))
-    return int(interior) + int(values[0] < values[1]) + int(values[-1] < values[-2])
-
-
 def _golden_section(objective, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Midpoints of the brackets [a, b] after golden-section search of each.
 
@@ -494,28 +477,25 @@ def optimize_tau(
     noise: NoiseModel,
     rule: QuadratureRule,
     n_ions: int,
-    tau_min: float | None = None,
-    tau_max: float | None = None,
-    coarse: int = 64,
-    tol: float = 1e-7,
 ) -> tuple[float, float] | TauOptima:
     """Minimize the full-numerics delta_sq over the admissible drive time tau.
 
-    For each protocol time T, a ``coarse``-point grid brackets the minimum,
-    then golden-section search (Kiefer, Proc. AMS 4, 502 (1953)) refines it to
-    absolute tolerance ``tol`` seconds; a bracket that stops shrinking at the
-    float spacing ends the search there.  Each grid is one batched evaluation
-    (``_delta_sq_over_tau``).  The searches of all T run in lockstep: each
-    step evaluates the one new point of every still-open search in one
-    batched call, as do the first two probes and the final evaluation at the
-    optimum.  Every search makes exactly the float operations of a search of
-    its T alone, and every objective value is bitwise ``averaged_sensitivity``
-    at its point.  If a grid shows more than one local minimum, or a search
-    ends where delta_sq is not finite, the grid minimum is returned
-    unrefined.  ``family`` names a variant class (``Variant.lookup``) and tau
-    is capped at its ``tau_cap`` times T (for "displacement", T simply bounds
-    the scan).  A tau where delta_sq is not
-    finite scores +inf.
+    For each protocol time T, a ``TAU_GRID_POINTS``-point grid on
+    [tau_max/256, tau_max] brackets the minimum, tau_max being the variant
+    class's ``tau_cap`` times T (``family`` names the class,
+    ``Variant.lookup``; for "displacement", T simply bounds the scan).
+    Golden-section search (Kiefer, Proc. AMS 4, 502 (1953)) then refines the
+    bracket to ``TAU_TOL`` seconds; a bracket that stops shrinking at the
+    float spacing ends the search there.  One objective serves every stage:
+    the grids of all T are a single batched evaluation, and the searches of
+    all T run in lockstep, each step evaluating the one new point of every
+    still-open search in one batched call, as do the first two probes and
+    the final evaluation at the optimum.  Every search makes exactly the
+    float operations of a search of its T alone, and every objective value
+    is bitwise ``averaged_sensitivity`` at its point; a tau where that raises
+    NumericalError scores +inf.  If a grid shows more than one local
+    minimum, or a search ends where delta_sq is not finite, the grid minimum
+    is returned unrefined.
 
     A float ``T`` returns ``(tau_opt, delta_sq)``; an unrefined grid minimum
     comes with a RuntimeWarning, and a grid without a finite point raises
@@ -528,54 +508,44 @@ def optimize_tau(
         raise ConfigError(f"protocol {family!r} has no drive time tau to optimize")
     Ts = np.asarray(T, dtype=float)
     scalar = Ts.ndim == 0
-    if Ts.ndim > 1:
-        raise ConfigError("T must be a number or a 1-D array")
-    if not np.all(Ts > 0.0):
-        raise ConfigError("T must be > 0")
-    if not (isinstance(coarse, numbers.Real) and float(coarse).is_integer()):
-        raise ConfigError(f"coarse must be an integer, not {coarse!r}")
-    if coarse < 8:
-        raise ConfigError("coarse grid needs at least 8 points")
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"tol must be finite and > 0, not {tol!r}")
-    coarse = int(coarse)
+    if Ts.ndim > 1 or Ts.size == 0:
+        raise ConfigError("T must be a number or a non-empty 1-D array")
     Ts = Ts.reshape(-1)
-    tau_opt = np.full(len(Ts), math.nan)
-    delta_sq = np.full(len(Ts), math.inf)
-    refined = np.zeros(len(Ts), dtype=bool)
-    a, b = np.empty(len(Ts)), np.empty(len(Ts))
-    for i, T_i in enumerate(Ts.tolist()):
-        hi = tau_max if tau_max is not None else cls.tau_cap * T_i
-        lo = tau_min if tau_min is not None else hi / 256.0
-        if not 0.0 < lo < hi:
-            raise ConfigError("need 0 < tau_min < tau_max")
-        fixed = {key: value for key, value in (("g", g), ("T", T_i)) if key in names}
-        # the variant at tau_max checks the tau cap before the batched grid
-        spec = ProtocolSpec(cls(tau=hi, **fixed), n_ions)
-        grid = np.linspace(lo, hi, coarse)
-        values = _delta_sq_over_tau(spec, grid, noise, rule)
-        if not np.isfinite(values).any():
-            continue
-        i_best = int(np.argmin(values))
-        tau_opt[i], delta_sq[i] = grid[i_best], values[i_best]
-        if _local_minima(values) > 1:
-            continue
-        a[i], b[i] = grid[max(i_best - 1, 0)], grid[min(i_best + 1, coarse - 1)]
-        refined[i] = True
+    hi = cls.tau_cap * Ts
+    lo = hi / 256.0
+    if not np.all((lo > 0.0) & (hi < math.inf)):
+        raise ConfigError("T must be finite and > 0, with tau_cap*T/256 > 0")
+    fixed = {key: value for key, value in (("g", g), ("T", Ts[0])) if key in names}
+    # validates g and n_ions; every grid tau is within the cap by construction
+    spec = ProtocolSpec(cls(tau=hi[0], **fixed), n_ions)
 
+    def objective(taus: np.ndarray, at: np.ndarray) -> np.ndarray:
+        # delta_sq at taus[j] for the T of row at[j]
+        return _rows(spec, noise, rule, tau=taus, **({"T": Ts[at]} if "T" in names else {}))[2]
+
+    every = np.arange(len(Ts))
+    grid = np.linspace(lo, hi, TAU_GRID_POINTS, axis=-1)
+    values = objective(grid.ravel(), np.repeat(every, TAU_GRID_POINTS)).reshape(grid.shape)
+    best = np.argmin(values, axis=-1)
+    finite = np.isfinite(values).any(axis=-1)
+    tau_opt = np.where(finite, grid[every, best], math.nan)
+    delta_sq = values[every, best]
+    inner = values[:, 1:-1]
+    minima = (
+        np.count_nonzero((inner < values[:, :-2]) & (inner < values[:, 2:]), axis=-1)
+        + (values[:, 0] < values[:, 1])
+        + (values[:, -1] < values[:, -2])
+    )
+    refined = finite & (minima <= 1)
     rows = np.flatnonzero(refined)
     if rows.size:
-
-        def objective(taus: np.ndarray, at: np.ndarray) -> np.ndarray:
-            # spec (any row's) supplies g and n_ions; tau and T come per search
-            T_column = {"T": Ts[rows[at]]} if "T" in names else {}
-            return _delta_sq_rows(spec, noise, rule, tau=taus, **T_column)
-
-        taus = _golden_section(objective, a[rows], b[rows], tol)
-        values = objective(taus, np.arange(rows.size))
+        a = grid[rows, np.maximum(best[rows] - 1, 0)]
+        b = grid[rows, np.minimum(best[rows] + 1, TAU_GRID_POINTS - 1)]
+        taus = _golden_section(lambda x, at: objective(x, rows[at]), a, b, TAU_TOL)
+        final = objective(taus, rows)
         # a search that ends where delta_sq is not finite keeps its grid minimum
-        ended = np.isfinite(values)
-        tau_opt[rows[ended]], delta_sq[rows[ended]] = taus[ended], values[ended]
+        ended = np.isfinite(final)
+        tau_opt[rows[ended]], delta_sq[rows[ended]] = taus[ended], final[ended]
         refined[rows[~ended]] = False
 
     optima = TauOptima(family, tau_opt, delta_sq, refined)

@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -471,6 +474,19 @@ class TestCommandTable:
         parser = build_parser()
         for argv in commands:
             parser.parse_args(argv[1:])
+
+    def test_import_loads_no_scipy_optimize(self):
+        # only calibrate fits, so only calibrate imports scipy.optimize
+        code = (
+            "import sys, echosense.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout == "[]\n"
 
 
 class TestOracleCheck:

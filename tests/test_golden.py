@@ -1,9 +1,11 @@
 """Default CLI outputs against the committed golden files in ``tests/golden``.
 
 ``manifest.json`` maps each golden file to the command line that made it and
-records the numpy and Python versions it was made with.  A change that moves
-an output on purpose regenerates the file (``echosense <command> --out
-tests/golden/<file>``) and lists the moved rows.
+records the numpy, scipy and Python versions it was made with.  Its
+``calibrate`` entries read a committed input CSV, named by ``--data`` relative
+to ``tests/golden``; their fits run on scipy's ``least_squares``.  A change
+that moves an output on purpose regenerates the file (``echosense <command>
+--out tests/golden/<file>``) and lists the moved rows.
 """
 
 import csv
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from echosense.cli import main
 
@@ -42,6 +45,27 @@ def test_default_output_matches_golden(name, tmp_path):
         f"{name}: {first_difference(expected, got)} (golden made with numpy "
         f"{made['numpy']}, Python {made['python']}; this run numpy {np.__version__}, "
         f"Python {platform.python_version()})"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST["calibrate"]))
+def test_calibrate_output_matches_golden(name, tmp_path):
+    argv = list(MANIFEST["calibrate"][name])
+    data = argv.index("--data") + 1
+    argv[data] = str(GOLDEN / argv[data])
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    expected, got = (GOLDEN / name).read_text(), out.read_text()
+    moved = [
+        f"line {index}: {have} != golden {want}"
+        for index, (want, have) in enumerate(zip(expected.splitlines(), got.splitlines()), 1)
+        if want != have
+    ]
+    made = MANIFEST["made_with"]
+    assert got == expected, (
+        f"{name}: {(moved or ['line count differs'])[0]} (golden made with scipy "
+        f"{made['scipy']}, numpy {made['numpy']}; this run scipy {scipy.__version__}, "
+        f"numpy {np.__version__})"
     )
 
 

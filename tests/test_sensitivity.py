@@ -393,8 +393,8 @@ class TestOptimizeTau:
         T = 6e-4
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            tau_q, _ = optimize_tau("quantum", T, g, noise, rule, 150, coarse=32)
-            tau_c, _ = optimize_tau("classical", T, g, noise, rule, 150, coarse=32)
+            tau_q, _ = optimize_tau("quantum", T, g, noise, rule, 150)
+            tau_c, _ = optimize_tau("classical", T, g, noise, rule, 150)
         assert 0 < tau_q <= T / 2 + 1e-12
         assert 0 < tau_c <= T + 1e-12
 
@@ -416,6 +416,23 @@ def per_point(cls, fixed, n_ions, grid, noise, rule):
     return np.array(values)
 
 
+def spy_rows(monkeypatch):
+    """Record (taus, delta_sq) of every ``sensitivity._rows`` call with a tau
+    column, as optimize_tau's objective makes them."""
+    calls = []
+    rows = sensitivity._rows
+
+    def spy(spec, noise, rule, **columns):
+        out = rows(spec, noise, rule, **columns)
+        if "tau" in columns:
+            calls.append((np.array(columns["tau"]), out[2]))
+            assert len(calls) < 1000, "golden-section search does not stop"
+        return out
+
+    monkeypatch.setattr(sensitivity, "_rows", spy)
+    return calls
+
+
 def fixed_fields(cls, g, T):
     return {"g": g, "T": T} if "T" in cls.__dataclass_fields__ else {"g": g}
 
@@ -435,15 +452,7 @@ class TestTauGrid:
     @pytest.mark.parametrize("nodes", [0, 32, 64], ids=["sigma0", "n32", "n64"])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_optimize_tau_grid_is_bitwise_per_point(self, family, nodes, monkeypatch):
-        seen = []
-        batched = sensitivity._delta_sq_over_tau
-
-        def spy(spec, taus, noise, rule):
-            values = batched(spec, taus, noise, rule)
-            seen.append((np.array(taus), values))
-            return values
-
-        monkeypatch.setattr(sensitivity, "_delta_sq_over_tau", spy)
+        seen = spy_rows(monkeypatch)
         cls = Variant.lookup(family)
         rng = np.random.default_rng([self.FAMILIES.index(family), nodes])
         branches = set()
@@ -459,10 +468,11 @@ class TestTauGrid:
                 gamma=rng.uniform(200.0, 800.0),
             )
             rule = gauss_hermite_rule(0.0 if nodes == 0 else noise.sigma, max(nodes, 2))
+            seen.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 optimize_tau(family, T, g, noise, rule, n_ions)
-            grid, values = seen[-1]
+            grid, values = seen[0]
             assert len(grid) == 64
             want = per_point(cls, fixed_fields(cls, g, T), n_ions, grid, noise, rule)
             assert values.tobytes() == want.tobytes()
@@ -476,7 +486,7 @@ class TestTauGrid:
         rule = gauss_hermite_rule(noise.sigma, 64)
         grid = np.linspace(T / 256, T, 64)
         spec = ProtocolSpec(ClassicalEField(g, T, T), n_ions)
-        values = sensitivity._delta_sq_over_tau(spec, grid, noise, rule)
+        values = sensitivity._rows(spec, noise, rule, tau=grid)[2]
         want = per_point(ClassicalEField, {"g": g, "T": T}, n_ions, grid, noise, rule)
         assert np.isinf(values).sum() >= 1 and np.isfinite(values).sum() >= 1
         assert values.tobytes() == want.tobytes()
@@ -509,11 +519,6 @@ class TestTauGrid:
         want = per_point(ClassicalEField, {"g": g, "T": T}, n_ions, grid, noise, rule)
         i_best = int(np.argmin(want))
         assert (tau, value) == (float(grid[i_best]), float(want[i_best]))
-
-    @pytest.mark.parametrize("family,cap", [("quantum", 0.5), ("classical", 1.0)])
-    def test_tau_max_above_cap(self, family, cap):
-        with pytest.raises(ConfigError):
-            optimize_tau(family, 1e-3, G, QUIET, RULE0, 150, tau_max=1.2 * cap * 1e-3)
 
     def test_search_ending_non_finite_keeps_grid_minimum(self):
         # a huge coupling: the classical search walks from a finite grid
@@ -680,19 +685,13 @@ class TestLockstepOptimizer:
         assert got.refined.tolist() == [True, False, True]
 
     def test_row_with_inf_grid_point(self, monkeypatch):
-        grids = []
-        batched = sensitivity._delta_sq_over_tau
-
-        def spy(spec, taus, noise, rule):
-            values = batched(spec, taus, noise, rule)
-            grids.append(values)
-            return values
-
-        monkeypatch.setattr(sensitivity, "_delta_sq_over_tau", spy)
+        calls = spy_rows(monkeypatch)
         p = self.INF_POINT
         rule = gauss_hermite_rule(p["noise"].sigma, 64)
         got, _ = self.check_rows("classical", [0.896e-3, 1.718e-3], p["g"], p["noise"], rule,
                                  p["n_ions"])
+        # the first objective call holds both T's grids, one row of 64 each
+        grids = calls[0][1].reshape(2, 64)
         assert got.refined.all()
         assert np.isfinite(grids[0]).all() and np.isinf(grids[1][-1])
 
@@ -713,40 +712,39 @@ class TestLockstepOptimizer:
         classical = optimize_tau("classical", Ts, g, noise, rule, 2)
         assert np.isnan(classical.tau_opt).all() and not classical.refined.any()
 
-    def test_tiny_tol_stops_at_float_spacing(self, monkeypatch):
-        calls = []
-        batched = sensitivity._delta_sq_rows
+    @pytest.mark.parametrize("T", [1e9, 1e12, 1e15])
+    def test_huge_T_stops_at_float_spacing(self, T, monkeypatch):
+        # near tau = T/2 the float spacing of tau is at or above TAU_TOL, so
+        # the bracket stops shrinking before it is TAU_TOL wide
+        calls = spy_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refined: no grid-minimum fallback
+            tau, dsq = optimize_tau("quantum", T, G, QUIET, RULE0, 150)
+        # one grid, the first two probes, ~67 steps to the float spacing, the final point
+        assert len(calls[0][0]) == 64 and len(calls) < 120
+        assert T / 512 < tau <= T / 2
+        assert dsq <= calls[0][1].min()
 
-        def spy(*args, **columns):
-            calls.append(len(columns["tau"]))
-            assert len(calls) < 1000, "golden-section search does not stop"
-            return batched(*args, **columns)
+    def test_sweep_is_one_grid_call(self, monkeypatch):
+        # every T's grid goes into the first objective call, and the lockstep
+        # searches close in a number of calls that does not grow with n_T
+        calls = spy_rows(monkeypatch)
+        counts = {}
+        for n_T in (1, 4, 16):
+            calls.clear()
+            optimize_tau("quantum", np.full(n_T, 1e-3), G, QUIET, RULE0, 150)
+            assert len(calls[0][0]) == n_T * 64
+            counts[n_T] = len(calls)
+        assert counts[1] == counts[4] == counts[16] < 20
+        calls.clear()
+        Ts = np.linspace(0.2e-3, 2.0e-3, 19)
+        optimize_tau("quantum", Ts, G, QUIET, RULE0, 150)
+        assert len(calls[0][0]) == 19 * 64 and len(calls) < 19
 
-        monkeypatch.setattr(sensitivity, "_delta_sq_rows", spy)
-        T = 5e-4
-        tau, dsq = optimize_tau("quantum", T, G, QUIET, RULE0, 150, tol=1e-30)
-        # one grid, the first two probes, ~70 steps to the float spacing, the final point
-        assert calls[0] == 64 and len(calls) < 120
-        tau_ref, dsq_ref = optimize_tau("quantum", T, G, QUIET, RULE0, 150)
-        assert tau == pytest.approx(tau_ref, abs=1e-7)
-        assert dsq <= dsq_ref * (1.0 + 1e-9)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-7, "1e-7"])
-    def test_bad_tol_rejected(self, tol):
-        with pytest.raises(ConfigError, match="tol"):
-            optimize_tau("quantum", 1e-3, G, QUIET, RULE0, 150, tol=tol)
-
-    @pytest.mark.parametrize("coarse", [10.5, math.nan, "64"])
-    def test_non_integral_coarse_rejected(self, coarse):
-        with pytest.raises(ConfigError, match="coarse"):
-            optimize_tau("quantum", 1e-3, G, QUIET, RULE0, 150, coarse=coarse)
-
-    def test_integral_float_coarse_accepted(self):
-        assert optimize_tau("quantum", 1e-3, G, QUIET, RULE0, 150, coarse=16.0) == optimize_tau(
-            "quantum", 1e-3, G, QUIET, RULE0, 150, coarse=16
-        )
-
-    @pytest.mark.parametrize("T", [[1e-3, 0.0], [[1e-3]], [1e-3, math.nan]])
+    # the last three: an infinite T, a grid start that underflows to 0, no T
+    @pytest.mark.parametrize(
+        "T", [[1e-3, 0.0], [[1e-3]], [1e-3, math.nan], [1e-3, math.inf], 5e-324, []]
+    )
     def test_bad_T_axis_rejected(self, T):
         with pytest.raises(ConfigError, match="T must be"):
             optimize_tau("quantum", T, G, QUIET, RULE0, 150)
