@@ -39,11 +39,9 @@ __all__ = [
     "pup_model",
     "fit_sigma",
     "fit_contrast",
-    "gamma_el_from_gamma_tot",
     "ring_down_model",
     "fit_ring_down",
     "fit_heating_rate",
-    "per_ion_heating_rate",
 ]
 
 MAX_RESIDUAL_EVALS = 200
@@ -284,12 +282,6 @@ def fit_contrast(data: CalibrationDataset) -> FitResult:
     return _fit(model, data, [max(slope0, 0.0)], ["gamma_tot"])
 
 
-def gamma_el_from_gamma_tot(gamma_tot: float) -> float:
-    """Depolarizing rate from the total rate assuming Gamma_el = 4 Gamma_ram:
-    Gamma_tot = (Gamma_ram + Gamma_el)/2 = 5 Gamma_el / 8, so Gamma_el = 8/5 Gamma_tot."""
-    return 1.6 * gamma_tot
-
-
 # ---------------------------------------------------------------------------
 # ring-down
 # ---------------------------------------------------------------------------
@@ -349,10 +341,3 @@ def fit_heating_rate(data: CalibrationDataset) -> FitResult:
 
     slope0, intercept0 = _line(data.x, data.y)
     return _fit(model, data, [intercept0, slope0], ["nbar0", "rate"])
-
-
-def per_ion_heating_rate(rate: float, n_ions: int) -> float:
-    """Collective-mode heating scales with ion number; divide out for one ion."""
-    if n_ions < 1:
-        raise ConfigError("n_ions must be >= 1")
-    return rate / n_ions

