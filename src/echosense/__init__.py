@@ -25,7 +25,6 @@ from .core import (
     beta_from_displacement,
     displacement_from_beta,
     efield_sensitivity_from_eta,
-    voltage_to_displacement,
 )
 from .kernels import (
     Kernels,
@@ -69,7 +68,6 @@ __all__ = [
     "beta_from_displacement",
     "displacement_from_beta",
     "efield_sensitivity_from_eta",
-    "voltage_to_displacement",
     "Kernels",
     "kernels_classical_efield",
     "kernels_generic",

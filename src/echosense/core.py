@@ -41,7 +41,6 @@ __all__ = [
     "HBAR",
     "AMU_KG",
     "ELEMENTARY_CHARGE",
-    "DEFAULT_VOLT_TO_METER",
     "ConfigError",
     "NumericalError",
     "PhysicalConstants",
@@ -60,25 +59,14 @@ __all__ = [
     "beta_from_displacement",
     "displacement_from_beta",
     "efield_sensitivity_from_eta",
-    "voltage_to_displacement",
-    "drive_force_from_displacement",
-    "com_amplitude_from_force",
     "population_up",
     "db_below",
-    "constants_to_json",
     "constants_from_json",
-    "noise_model_to_json",
-    "noise_model_from_json",
-    "protocol_spec_to_json",
-    "protocol_spec_from_json",
 ]
 
 HBAR = 1.054571817e-34  # J s
 AMU_KG = 1.66053906660e-27  # kg
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
-
-# Electrode calibration, m per volt (measured lever arm of the drive electrode).
-DEFAULT_VOLT_TO_METER = 12.9e-9
 
 TWO_PI = 2.0 * math.pi
 
@@ -523,23 +511,6 @@ def efield_sensitivity_from_eta(
     return 4.0 * m * wz * constants.z0 * delta_eta / (q * math.sqrt(n_ions))
 
 
-def voltage_to_displacement(volts: float, calibration: float = DEFAULT_VOLT_TO_METER) -> float:
-    """Electrode voltage to crystal displacement via the measured calibration (m/V)."""
-    if not calibration > 0.0:
-        raise ConfigError("calibration must be > 0")
-    return volts * calibration
-
-
-def drive_force_from_displacement(z: float, constants: PhysicalConstants) -> float:
-    """Force per ion (magnitude) that statically displaces the crystal by z: m*omega_z**2*z."""
-    return constants.ion_mass * constants.trap_freq**2 * z
-
-
-def com_amplitude_from_force(force: float, duration: float, constants: PhysicalConstants) -> float:
-    """Zero-to-peak oscillator amplitude excited by a resonant force over ``duration``."""
-    return force * duration / (2.0 * constants.ion_mass * constants.trap_freq)
-
-
 def population_up(j_component: float, n_ions: int) -> float:
     """Bright fraction (1 - 2*<J>/N)/2 for a measured collective spin component."""
     return 0.5 * (1.0 - 2.0 * j_component / n_ions)
@@ -559,29 +530,5 @@ def db_below(reference: float, achieved: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def constants_to_json(constants: PhysicalConstants) -> dict:
-    return _fields_to_json(constants)
-
-
 def constants_from_json(obj: dict) -> PhysicalConstants:
     return _fields_from_json(PhysicalConstants, obj)
-
-
-def noise_model_to_json(noise: NoiseModel) -> dict:
-    return _fields_to_json(noise)
-
-
-def noise_model_from_json(obj: dict) -> NoiseModel:
-    return _fields_from_json(NoiseModel, obj)
-
-
-def protocol_spec_to_json(spec: ProtocolSpec) -> dict:
-    return {"variant": spec.variant.name, "n_ions": spec.n_ions, **spec.variant.to_json()}
-
-
-def protocol_spec_from_json(obj: dict) -> ProtocolSpec:
-    try:
-        cls, n_ions = Variant.lookup(obj["variant"]), obj["n_ions"]
-    except KeyError as exc:
-        raise ConfigError(f"protocol spec missing field {exc}") from exc
-    return ProtocolSpec(cls.from_json(obj), n_ions)

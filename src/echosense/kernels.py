@@ -1,14 +1,18 @@
-"""Pulse-schedule kernels h, p, q that determine all spin moments at fixed detuning.
+"""Pulse-schedule kernels |h|^2, p, q that determine all spin moments at fixed detuning.
 
 For a schedule with spin-dependent coupling g(t), drive eta(t) and detuning
-delta, the three kernels are
+delta, the kernels come from the displacement amplitude
 
     h(t) = integral_0^t g(s) exp(-i delta s) ds
     p(t) = (i/2) integral_0^t (conj(h)' h - conj(h) h') ds
          = -integral_0^t g(s) Im[exp(i delta s) h(s)] ds
     q(t) = integral_0^t ds integral_0^s du g(s) eta(u) cos[delta (u - s)]
 
-Instantaneous kicks enter q as delta-function contributions of eta(t).
+Instantaneous kicks enter q as delta-function contributions of eta(t).  The
+moments read h only through |h|^2 (the thermal factor), so ``Kernels``
+carries the real triple (|h|^2, p, q) and every engine works in real
+arithmetic: the closed forms square a real amplitude, and the generic engine
+sums Re h and Im h from cos and sin of the phases before squaring.
 
 ``kernels_generic`` evaluates these integrals exactly for any
 piecewise-constant schedule, as pairwise sums over segments (see its
@@ -31,16 +35,16 @@ on an array element, so row i is bitwise the kernels of a scalar call at
 ``tau[i]`` (and ``T[i]``), while numpy's array power can differ from the
 scalar one in the last bit.
 
-Numerical notes: the closed-form h and q are evaluated through
+Numerical notes: the closed-form |h|^2 and q are evaluated through
 cancellation-free product forms.  The closed-form p kernels subtract terms
 that agree through O(delta^2), which costs ~1e-7 relative accuracy near
 |delta|*t ~ 1e-4 in double precision; below ``SERIES_THRESHOLD`` they
 therefore switch to a Taylor series carrying two correction orders, keeping
-both branches below 1e-12 relative error at the switchover.  The generic engine needs a series only
-for its one cancelling helper, (x - sin x)/x^3, below |x| = 1; its sums over
-segments are accurate to a few eps times the sum of the magnitudes of their
-terms, which bounds the relative error where a kernel is a small remainder
-of larger cancelling parts.
+both branches below 1e-12 relative error at the switchover.  The generic
+engine needs a series only for its one cancelling helper, (x - sin x)/x^3,
+below |x| = 1; its sums over segments are accurate to a few eps times the
+sum of the magnitudes of their terms, which bounds the relative error where
+a kernel is a small remainder of larger cancelling parts.
 """
 
 from __future__ import annotations
@@ -77,22 +81,17 @@ ZERO_DETUNING = 1e-100
 class Kernels:
     """Kernel triple at one (or a broadcast array of) detuning value(s).
 
-    h is complex and carries the spin-conditioned displacement amplitude;
-    p (real) the accumulated geometric phase / squeezing; q (real) the
-    effective displacement signal per the drive amplitude used to build it.
+    ``hsq`` is |h|^2, the squared spin-conditioned displacement amplitude;
+    p the accumulated geometric phase / squeezing; q the effective
+    displacement signal per the drive amplitude used to build it.
     ``odf_on_time`` is the total time the spin-dependent coupling was on (a
     column, one value per row, for kernels built on a tau axis).
     """
 
-    h: Scalar
+    hsq: Scalar
     p: Scalar
     q: Scalar
     odf_on_time: Scalar
-
-    @property
-    def hsq(self) -> Scalar:
-        """|h|^2."""
-        return np.abs(self.h) ** 2
 
 
 def _as_tau(tau: Scalar) -> Scalar:
@@ -106,14 +105,14 @@ def _as_tau(tau: Scalar) -> Scalar:
 def _detuning(delta: Scalar) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """delta as an array, the mask where it counts as 0, and delta with 1 there."""
     d = np.asarray(delta, dtype=float)
-    at_zero = np.abs(d) < ZERO_DETUNING
+    at_zero = abs(d) < ZERO_DETUNING
     return d, at_zero, np.where(at_zero, 1.0, d)
 
 
-def _kernels(h: np.ndarray, p: np.ndarray, q: np.ndarray, odf_on_time: Scalar) -> Kernels:
+def _kernels(hsq: np.ndarray, p: np.ndarray, q: np.ndarray, odf_on_time: Scalar) -> Kernels:
     """Kernels with 0-d arrays turned into Python scalars."""
-    h, p, q = (value.item() if value.ndim == 0 else value for value in (h, p, q))
-    return Kernels(h=h, p=p, q=q, odf_on_time=odf_on_time)
+    hsq, p, q = (value.item() if value.ndim == 0 else value for value in (hsq, p, q))
+    return Kernels(hsq=hsq, p=p, q=q, odf_on_time=odf_on_time)
 
 
 def kernels_classical_efield(
@@ -132,17 +131,14 @@ def kernels_classical_efield(
         raise ConfigError("classical protocol requires tau <= T")
     d, at_zero, safe = _detuning(delta)
     y = d * tau
-    small = np.abs(y) <= SERIES_THRESHOLD
+    small = abs(y) <= SERIES_THRESHOLD
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tau3 = tau * tau * tau
         sin_half_y = np.sin(y / 2.0)
         safe_sq = safe**2
-        h = np.where(
-            at_zero,
-            -g * tau + 0.0j,
-            -(2.0 * g / safe) * np.exp(-1.0j * d * (T - tau / 2.0)) * sin_half_y,
-        )
+        amp = np.where(at_zero, g * tau, (2.0 * g / safe) * sin_half_y)
+        hsq = amp * amp
         p_direct = (g**2 / safe_sq) * (np.sin(y) - y)
         # cos(dT) - cos(d(T-tau)) = -2 sin(d(2T-tau)/2) sin(d tau/2), cancellation-free
         q = np.where(
@@ -157,7 +153,7 @@ def kernels_classical_efield(
         )
     p_series = -(g**2 * d * tau3 / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
     p = np.where(small, p_series, p_direct)
-    return _kernels(h, p, q, odf_on_time=tau)
+    return _kernels(hsq, p, q, odf_on_time=tau)
 
 
 def _quantum_series_coefficients(tau: Scalar, T: Scalar) -> tuple[Scalar, Scalar, Scalar]:
@@ -197,16 +193,13 @@ def kernels_quantum_efield(
     s = T - tau
     u = d * tau
     v = d * s
-    small = np.abs(d) * T <= SERIES_THRESHOLD
+    small = abs(d) * T <= SERIES_THRESHOLD
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sin_half_u, sin_half_v = np.sin(u / 2.0), np.sin(v / 2.0)
         safe_sq = safe**2
-        h = np.where(
-            at_zero,
-            0.0 + 0.0j,
-            (4.0j * g / safe) * np.exp(-1.0j * d * T / 2.0) * sin_half_u * sin_half_v,
-        )
+        amp = np.where(at_zero, 0.0, (4.0 * g / safe) * sin_half_u * sin_half_v)
+        hsq = amp * amp
         p_direct = -(2.0 * g**2 / safe_sq) * (u - np.sin(u) - 2.0 * sin_half_u**2 * np.sin(v))
         q = np.where(
             at_zero,
@@ -216,7 +209,7 @@ def kernels_quantum_efield(
         c1, c3, c5 = _quantum_series_coefficients(tau, T)
     p_series = -2.0 * g**2 * (d * c1 + d**3 * c3 + d**5 * c5)
     p = np.where(small, p_series, p_direct)
-    return _kernels(h, p, q, odf_on_time=2.0 * tau)
+    return _kernels(hsq, p, q, odf_on_time=2.0 * tau)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,7 @@ def kernels_generic(
     L_k, midpoint c_k, couplings g_k, eta_k and A_k = L_k sinc(delta L_k/2),
     so that its integral of exp(-i delta s) is A_k exp(-i delta c_k):
 
-        h = sum_k g_k A_k exp(-i delta c_k)
+        |h|^2 = [sum_k g_k A_k cos(delta c_k)]^2 + [sum_k g_k A_k sin(delta c_k)]^2
         p = -sum_k g_k^2 delta L_k^3 f(delta L_k)
             - sum_{j<k} g_j g_k A_j A_k sin[delta (c_k - c_j)]
         q = sum_k g_k [eta_k A_k^2/2 + sum_{j<k} eta_j A_j A_k cos[delta (c_k - c_j)]]
@@ -318,7 +311,8 @@ def kernels_generic(
     dd = d[..., None]
     A = L * _sinc(0.5 * dd * L)
 
-    h = (g * A * np.exp(-1.0j * dd * c)).sum(axis=-1)
+    gA, phase = g * A, dd * c
+    re, im = (gA * np.cos(phase)).sum(axis=-1), (gA * np.sin(phase)).sum(axis=-1)
     p = -(g**2 * dd * L**3 * _x_minus_sin_over_cube(dd * L)).sum(axis=-1)
     q = (0.5 * g * eta * A**2).sum(axis=-1)
     w, j, k = _pairs(g, g)
@@ -332,4 +326,4 @@ def kernels_generic(
         W = np.maximum(ends - after, 0.0)
         m = 0.5 * (after + ends)
         q = q + beta * (g * W * _sinc(0.5 * dd * W) * np.cos(dd * (m - time))).sum(axis=-1)
-    return _kernels(h, p, q, odf_on_time=odf_on_time)
+    return _kernels(re * re + im * im, p, q, odf_on_time=odf_on_time)

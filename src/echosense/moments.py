@@ -1,6 +1,6 @@
 """Closed-form collective-spin expectation values at fixed detuning.
 
-Given the kernel triple (h, p, q) of a schedule, the initial state (spins
+Given the kernel triple (|h|^2, p, q) of a schedule, the initial state (spins
 polarized along +x, oscillator thermal with occupation nbar) evolves to
 
     <Jy>    = 0

@@ -47,10 +47,10 @@ excursion on the zero-drive schedule the run propagates
 (``default_fock_cutoff``), and the blocks share one zero-padded array.
 Hamiltonian runs gate the CSS-weighted population of the blocks' top two Fock
 levels in each ensemble column of B and of its tangent dB, relative to the
-column's norm, at ``leak_tol`` after every stage: default cutoffs grow by 1.25
-up to three times, then the run aborts with NumericalError, as it does at once
-for an explicit ``n_cut`` or when the norm of the zero-drive final state
-drifts by more than 1e-10.  Lindblad runs keep the norm check only.
+column's norm, at ``leak_tol`` (> 0) after every stage: default cutoffs grow
+by 1.25 up to three times, then the run aborts with NumericalError, as it
+does at once for an explicit ``n_cut`` or when the norm of the zero-drive
+final state drifts by more than 1e-10.  Lindblad runs keep the norm check only.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class ThermalEnsemble:
     """Geometric (thermal) mixture over initial Fock states, renormalized.
 
     ``weights[n]`` is the probability of starting in |n>; the discarded tail
-    mass before renormalization must stay below ``tail_tol``.
+    mass before renormalization must stay below ``tail_tol``, which
+    ``from_nbar`` takes in (0, 1e-10].
     """
 
     weights: np.ndarray
@@ -93,6 +94,8 @@ class ThermalEnsemble:
 
     @classmethod
     def from_nbar(cls, nbar: float, tail_tol: float = 1e-10) -> "ThermalEnsemble":
+        if not 0.0 < tail_tol <= 1e-10:
+            raise ConfigError(f"tail_tol must be in (0, 1e-10], not {tail_tol!r}")
         if not (math.isfinite(nbar) and nbar >= 0.0):
             raise ConfigError(f"nbar must be finite and >= 0, not {nbar!r}")
         if nbar == 0.0:
@@ -328,6 +331,8 @@ class _ExactRun:
             raise ConfigError(f"exact oracle capped at N <= {MAX_HAMILTONIAN_IONS}")
         if not math.isfinite(delta):
             raise ConfigError(f"detuning must be finite, not {delta!r}")
+        if not leak_tol > 0.0:  # nan would switch the leakage gate off
+            raise ConfigError(f"leak_tol must be > 0, not {leak_tol!r}")
         ensemble = initial if initial is not None else ThermalEnsemble.from_nbar(0.0)
         n_comp = len(ensemble.weights)
         if n_cut is None:

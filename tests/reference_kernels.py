@@ -39,18 +39,14 @@ def kernels_displacement(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0
 
     with np.errstate(divide="ignore", invalid="ignore"):
         sin_y = np.sin(y)
-        h = np.where(
-            at_zero,
-            0.0 + 0.0j,
-            (4.0j * g / safe) * np.exp(-1.0j * y) * np.sin(y / 2.0) ** 2,
-        )
+        amp = np.where(at_zero, 0.0, (4.0 * g / safe) * np.sin(y / 2.0) ** 2)
         p_direct = (g**2 / safe**2) * (4.0 * sin_y - np.sin(2.0 * y) - 2.0 * y)
         q = np.where(at_zero, -beta * g * tau, -(beta * g / safe) * sin_y)
     p_series = (2.0 / 3.0) * g**2 * d * (tau * tau * tau) * (
         1.0 - (7.0 / 20.0) * y**2 + (31.0 / 840.0) * y**4
     )
     p = np.where(small, p_series, p_direct)
-    return _kernels(h, p, q, odf_on_time=2.0 * tau)
+    return _kernels(amp * amp, p, q, odf_on_time=2.0 * tau)
 
 
 def kernels_readout(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0) -> Kernels:
@@ -69,13 +65,9 @@ def kernels_readout(g: float, tau: Scalar, delta: Scalar, beta: float = 1.0) -> 
 
     with np.errstate(divide="ignore", invalid="ignore"):
         sin_y = np.sin(y)
-        h = np.where(
-            at_zero,
-            -g * tau + 0.0j,
-            -(2.0 * g / safe) * np.exp(-1.0j * y / 2.0) * np.sin(y / 2.0),
-        )
+        amp = np.where(at_zero, g * tau, (2.0 * g / safe) * np.sin(y / 2.0))
         p_direct = (g**2 / safe**2) * (sin_y - y)
         q = np.where(at_zero, -beta * g * tau, -(beta * g / safe) * sin_y)
     p_series = -(g**2 * d * (tau * tau * tau) / 6.0) * (1.0 - y**2 / 20.0 + y**4 / 840.0)
     p = np.where(small, p_series, p_direct)
-    return _kernels(h, p, q, odf_on_time=tau)
+    return _kernels(amp * amp, p, q, odf_on_time=tau)

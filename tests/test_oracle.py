@@ -249,6 +249,13 @@ class TestThermalEnsemble:
         with pytest.raises(ConfigError, match="weights"):
             ThermalEnsemble(weights=np.array(weights), nbar=0.0, tail_mass=0.0)
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan, 1e-6])
+    def test_bad_tail_tol_rejected(self, tail_tol):
+        # 0 and -1 used to raise a bare math domain error, NaN a conversion
+        # error, and 1e-6 a ConfigError about the tail, not the argument
+        with pytest.raises(ConfigError, match="tail_tol"):
+            ThermalEnsemble.from_nbar(1.0, tail_tol)
+
     @pytest.mark.parametrize("tail_mass", [math.nan, math.inf, -1e-12])
     def test_bad_tail_mass_rejected(self, tail_mass):
         # a NaN tail used to pass, and the run returned numbers
@@ -362,6 +369,17 @@ class TestExactEvolution:
     def test_ion_cap(self):
         with pytest.raises(ConfigError):
             evolve_exact_detail(ProtocolSpec(Displacement(G, 1e-4, 0.0), 13), 0.0)
+
+    @pytest.mark.parametrize("leak_tol", [math.nan, 0.0, -1e-10])
+    def test_bad_leak_tol_rejected(self, leak_tol):
+        # leak_tol=nan used to switch the gate off: this run leaks 0.10 at
+        # n_cut 40 and returned moments, where leak_tol=1e-10 aborts it
+        spec = ProtocolSpec(Displacement(G, 1.0 / G, 0.0), 12)
+        ens = ThermalEnsemble.from_nbar(1.0)
+        with pytest.raises(NumericalError, match="leakage"):
+            evolve_exact_detail(spec, 0.1 * G, n_cut=40, initial=ens)
+        with pytest.raises(ConfigError, match="leak_tol"):
+            evolve_exact_detail(spec, 0.1 * G, n_cut=40, initial=ens, leak_tol=leak_tol)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_non_finite_detuning_rejected(self, delta):

@@ -23,8 +23,6 @@ from echosense.core import (
     ReadoutOnly,
     Segment,
     Variant,
-    protocol_spec_from_json,
-    protocol_spec_to_json,
 )
 from echosense.kernels import SERIES_THRESHOLD
 from echosense.moments import moments_at_detuning
@@ -40,6 +38,7 @@ from echosense.sensitivity import (
     sensitivity_over_tau,
     snr_single_measurement,
 )
+from test_core import protocol_spec_from_json, protocol_spec_to_json
 
 G = 2 * math.pi * 3910.0
 QUIET = NoiseModel()
